@@ -1,132 +1,135 @@
-"""Hot integer kernels for scanning deterministic assignments.
+"""The exact classical oracle: max-sum variable elimination.
 
-The enumeration of global valuations and the evaluation of an inequality
-on each of them is the only genuinely hot inner loop of the package (the
-exact-rational simplex and the LAPACK-bound numerics gain nothing from
-jitting). The kernel carries a numba @njit implementation and a chunked
-pure-numpy fallback; set ATLAS_NO_NUMBA=1 to force the fallback. Both
-paths work on scaled integer coefficients, so results are exact as long
-as the caller keeps them inside int64 (checked in polytope.py).
+Maximizing an integer-weighted sum of outcome events over all
+deterministic assignments is the one hot classical question of the
+package. It is answered by bucket elimination (Dechter, Artif. Intell.
+113, 1999):
+
+- one table per term scope holds the summed scaled coefficients;
+- variables are eliminated in a greedy min-fill order over the term
+  hypergraph;
+- eliminating a variable broadcast-adds the tables that mention it and
+  keeps the max, and the argmax, along its axis;
+- the argmax tables, decoded in reverse order, give a maximizer.
+
+A full assignment scan is the case of a single bucket; the per-party
+decomposition of a Bell scenario is the case that eliminates the largest
+party first. Tables are int64 while the absolute coefficients sum below
+2**62, which bounds every entry, and object arrays of Python ints
+otherwise, so every result is exact.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("ATLAS_NO_NUMBA", "").strip() not in ("1", "true", "yes")
+from .errors import BudgetExceeded
 
-if USE_NUMBA:
-    try:
-        from numba import njit, set_num_threads
-        threads = os.environ.get("ATLAS_THREADS", "").strip()
-        if threads.isdigit() and int(threads) > 0:
-            try:
-                set_num_threads(int(threads))
-            except ValueError:
-                pass
-    except ImportError:
-        warnings.warn("numba unavailable, falling back to the numpy kernels")
-        USE_NUMBA = False
+# The oracle is numpy only; the flag remains for run records that name the kernel.
+USE_NUMBA = False
 
-__all__ = ["USE_NUMBA", "best_assignment", "best_assignment_numpy"]
+INT64_LIMIT = 1 << 62
+
+__all__ = ["best_assignment", "decode_assignment"]
 
 
-def _term_arrays(terms, n_meas):
-    """Flatten (measurement indices, outcome indices, int coef) terms."""
-    ptr = [0]
-    meas, outs = [], []
-    coefs = []
-    for members, out_idx, coef in terms:
-        meas.extend(members)
-        outs.extend(out_idx)
-        ptr.append(len(meas))
-        coefs.append(coef)
-    return (
-        np.asarray(ptr, dtype=np.int64),
-        np.asarray(meas, dtype=np.int64),
-        np.asarray(outs, dtype=np.int64),
-        np.asarray(coefs, dtype=np.int64),
-    )
+def _scope_tables(radices, terms, dtype):
+    """One table per scope (sorted measurement tuple), summing the
+    coefficients of every term on that scope. A term that names a
+    measurement twice with different outcomes never fires."""
+    tables = {}
+    for members, outs, coef in terms:
+        event = {}
+        if any(event.setdefault(m, o) != o for m, o in zip(members, outs)):
+            continue
+        scope = tuple(sorted(event))
+        tab = tables.get(scope)
+        if tab is None:
+            tab = tables[scope] = np.zeros([radices[m] for m in scope], dtype=dtype)
+        tab[tuple(event[m] for m in scope)] += coef
+    return tables
 
 
-def _eval_scan_py(radices, ptr, meas, outs, coefs):
-    n_meas = radices.shape[0]
-    n_terms = ptr.shape[0] - 1
-    total = np.int64(1)
-    for r in radices:
-        total *= r
-    digits = np.zeros(n_meas, dtype=np.int64)
-    best = np.int64(-(2 ** 62))
-    best_idx = np.int64(0)
-    for idx in range(total):
-        acc = np.int64(0)
-        for t in range(n_terms):
-            hit = True
-            for k in range(ptr[t], ptr[t + 1]):
-                if digits[meas[k]] != outs[k]:
-                    hit = False
-                    break
-            if hit:
-                acc += coefs[t]
-        if acc > best:
-            best = acc
-            best_idx = idx
-        # odometer increment (last measurement varies fastest)
-        for m in range(n_meas - 1, -1, -1):
-            digits[m] += 1
-            if digits[m] < radices[m]:
-                break
-            digits[m] = 0
-    return best, best_idx
+def _elimination_order(radices, scopes, budget):
+    """Greedy min-fill elimination order over the variables in scopes.
+
+    Ties go to the smaller elimination table, then to the lower index.
+    Returns (variable, neighbors) pairs in elimination order; the sorted
+    neighbors at elimination time are the scope of the table it leaves
+    behind. Raises BudgetExceeded as soon as an elimination table (the
+    variable and its neighbors) would have more than budget entries.
+    """
+    adj = {}
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(scope)
+    for v, nb in adj.items():
+        nb.discard(v)
+
+    def cost(v):
+        nb = adj[v]
+        fill = sum(1 for a in nb for b in nb if a < b and b not in adj[a])
+        size = radices[v]
+        for u in nb:
+            size *= radices[u]
+        return fill, size, v
+
+    order = []
+    while adj:
+        _, size, v = min(cost(v) for v in adj)
+        if budget is not None and size > budget:
+            raise BudgetExceeded(
+                f"elimination table of {size} entries exceeds budget {budget}")
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u].discard(v)
+            adj[u].update(nb)
+            adj[u].discard(u)
+        order.append((v, tuple(sorted(nb))))
+    return order
 
 
-if USE_NUMBA:
-    _eval_scan = njit(cache=True)(_eval_scan_py)
-else:
-    _eval_scan = _eval_scan_py
-
-
-def best_assignment_numpy(radices, terms, chunk=1 << 16):
-    """Chunked vectorized scan; same contract as best_assignment."""
-    radices = np.asarray(radices, dtype=np.int64)
-    total = int(np.prod(radices, dtype=np.int64))
-    strides = np.ones_like(radices)
-    for m in range(len(radices) - 2, -1, -1):
-        strides[m] = strides[m + 1] * radices[m + 1]
-    best = -(2 ** 62)
-    best_idx = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vals = np.zeros(idx.shape[0], dtype=np.int64)
-        for members, out_idx, coef in terms:
-            mask = np.ones(idx.shape[0], dtype=bool)
-            for m, o in zip(members, out_idx):
-                mask &= (idx // strides[m]) % radices[m] == o
-            vals[mask] += coef
-        k = int(np.argmax(vals))
-        if int(vals[k]) > best:
-            best = int(vals[k])
-            best_idx = int(idx[k])
-    return best, best_idx
-
-
-def best_assignment(radices, terms):
-    """Maximize sum of integer term coefficients over all assignments.
+def best_assignment(radices, terms, budget=None):
+    """Maximize the sum of integer term coefficients over all assignments.
 
     radices: outcome count per measurement. terms: iterable of
     (measurement index tuple, outcome index tuple, int coefficient).
-    Returns (best value, mixed-radix index of a maximizer); ties resolve
-    to the lowest index on both paths.
+    budget caps the entries of the largest elimination table (None: no
+    cap); with a single bucket that is the assignment count. Returns
+    (best value, mixed-radix index of a maximizer); measurements that no
+    term mentions take outcome index 0.
     """
-    radices = np.asarray(radices, dtype=np.int64)
-    if USE_NUMBA:
-        ptr, meas, outs, coefs = _term_arrays(terms, len(radices))
-        best, idx = _eval_scan(radices, ptr, meas, outs, coefs)
-        return int(best), int(idx)
-    return best_assignment_numpy(radices, terms)
+    radices = [int(r) for r in radices]
+    terms = list(terms)
+    wide = sum(abs(c) for _, _, c in terms) >= INT64_LIMIT
+    dtype = object if wide else np.int64
+    factors = list(_scope_tables(radices, terms, dtype).items())
+    order = _elimination_order(radices, [s for s, _ in factors], budget)
+
+    argmaxes = []
+    for v, rest in order:
+        scope = tuple(sorted(rest + (v,)))
+        total = np.zeros([radices[u] for u in scope], dtype=dtype)
+        kept = []
+        for fscope, tab in factors:
+            if v in fscope:
+                total += tab.reshape([radices[u] if u in fscope else 1 for u in scope])
+            else:
+                kept.append((fscope, tab))
+        axis = scope.index(v)
+        arg = total.argmax(axis=axis).astype(np.min_scalar_type(radices[v] - 1))
+        kept.append((rest, total.max(axis=axis)))
+        factors = kept
+        argmaxes.append((v, rest, arg))
+
+    best = sum(int(tab) for _, tab in factors)
+    digits = [0] * len(radices)
+    for v, rest, arg in reversed(argmaxes):
+        digits[v] = int(arg[tuple(digits[u] for u in rest)])
+    index = 0
+    for d, r in zip(digits, radices):
+        index = index * r + d
+    return best, index
 
 
 def decode_assignment(index, radices):

@@ -140,13 +140,13 @@ def _require_bell(scenario):
 def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
     """Identity lift: a Bell inequality read as a KS non-contextuality
     inequality on the scenario with the same measurements, outcomes and
-    compatibility. Everything is re-verified rather than assumed."""
+    compatibility. Both sides share terms, scenario and bound, so one
+    tightness test gives the verdict and, as its vertex maximum, the
+    classical bound of both."""
     partition = _require_bell(scenario)
     target_ineq = inequality.relabeled(kind="NCHV")
-    src_bound = classical_bound(inequality, scenario, budget=budget)
-    tgt_bound = classical_bound(target_ineq, scenario, budget=budget)
-    src_tight = tightness_test(inequality, scenario, budget=budget)
-    tgt_tight = tightness_test(target_ineq, scenario, budget=budget)
+    tight = tightness_test(inequality, scenario, budget=budget)
+    bound = tight.classical_bound
     return MappingReport(
         direction="bell-to-ks",
         connection="one-to-one",
@@ -154,12 +154,12 @@ def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
         source_inequality=inequality,
         target_scenario=scenario,
         target_inequality=target_ineq,
-        source_bound=src_bound,
-        target_bound=tgt_bound,
-        bound_preserved=src_bound == tgt_bound,
-        source_tightness=src_tight,
-        target_tightness=tgt_tight,
-        tightness_preserved=src_tight.verdict == tgt_tight.verdict,
+        source_bound=bound,
+        target_bound=bound,
+        bound_preserved=True,
+        source_tightness=tight,
+        target_tightness=tight,
+        tightness_preserved=True,
         partition=partition,
     )
 
@@ -193,8 +193,8 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
     compatible). Inequality terms are carried verbatim; the classical
     bound and the tightness verdict are recomputed on the target, never
     trusted. When the source is already complete n-partite the map is the
-    identity (ids included); otherwise measurements get party-prefixed
-    identifiers.
+    identity (ids included) and the source results are reused; otherwise
+    measurements get party-prefixed identifiers.
     """
     _validate_partition(scenario, partition)
     n_meas = len(scenario.measurements)
@@ -216,13 +216,19 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
         ]
         target = build_scenario(ids, scenario.outcomes, closure_edges)
 
-    src_bound = classical_bound(inequality, scenario, budget=budget)
-    tgt_terms = inequality.terms  # indices unchanged, only ids renamed
-    probe = Inequality(tgt_terms, inequality.bound, "LR", inequality.label)
-    tgt_bound = classical_bound(probe, target, budget=budget)
-    target_ineq = Inequality(tgt_terms, tgt_bound, "LR", inequality.label)
     src_tight = tightness_test(inequality, scenario, budget=budget)
-    tgt_tight = tightness_test(target_ineq, target, budget=budget)
+    src_bound = src_tight.classical_bound
+    tgt_terms = inequality.terms  # indices unchanged, only ids renamed
+    if identity:
+        tgt_bound = src_bound
+    else:
+        probe = Inequality(tgt_terms, inequality.bound, "LR", inequality.label)
+        tgt_bound = classical_bound(probe, target, budget=budget)
+    target_ineq = Inequality(tgt_terms, tgt_bound, "LR", inequality.label)
+    if identity and tgt_bound == inequality.bound:
+        tgt_tight = src_tight
+    else:
+        tgt_tight = tightness_test(target_ineq, target, budget=budget)
     return MappingReport(
         direction="ks-to-bell",
         connection="one-to-one" if identity else "partial",
@@ -562,6 +568,7 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
     else:
         part = partition or _first_valid_partition(scenario.compat)
         if part is None:
+            src_tight = tightness_test(inequality, scenario, budget=budget)
             return MappingReport(
                 direction="ks-to-bell",
                 connection="generic-lift",
@@ -569,10 +576,10 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
                 source_inequality=inequality,
                 target_scenario=None,
                 target_inequality=None,
-                source_bound=classical_bound(inequality, scenario, budget=budget),
+                source_bound=src_tight.classical_bound,
                 target_bound=None,
                 bound_preserved=None,
-                source_tightness=tightness_test(inequality, scenario, budget=budget),
+                source_tightness=src_tight,
                 target_tightness=None,
                 tightness_preserved=None,
                 notes=(

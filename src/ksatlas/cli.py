@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AtlasError, ResourceError, UsageError, ValidationError
+from .polytope import DEFAULT_BUDGET
 
 SCHEMA_VERSION = 1
 
@@ -242,20 +243,23 @@ def build_parser():
     q = sub.add_parser("bound", help="exact classical bound of an inequality")
     q.add_argument("scenario")
     q.add_argument("inequality")
-    q.add_argument("--budget", type=int, default=1 << 24)
+    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max entries of the largest elimination table")
     q.set_defaults(fn=cmd_bound)
 
     q = sub.add_parser("tight", help="facet verdict for an inequality")
     q.add_argument("scenario")
     q.add_argument("inequality")
-    q.add_argument("--budget", type=int, default=1 << 24)
+    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max deterministic assignments to enumerate")
     q.set_defaults(fn=cmd_tight)
 
     q = sub.add_parser("member", help="membership in the classical polytope")
     q.add_argument("scenario")
     q.add_argument("behavior")
     q.add_argument("--tol", type=float, default=None)
-    q.add_argument("--budget", type=int, default=1 << 24)
+    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max deterministic assignments to enumerate")
     q.set_defaults(fn=cmd_member)
 
     q = sub.add_parser("graph", help="graph invariants")
@@ -295,7 +299,8 @@ def build_parser():
     q.add_argument("--dim", type=int, default=2)
     q.add_argument("--restarts", type=int, default=8)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--budget", type=int, default=1 << 24)
+    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max deterministic assignments to enumerate")
     q.set_defaults(fn=cmd_map)
 
     q = sub.add_parser("examples", help="write canned example files")

@@ -1,15 +1,14 @@
 """Exact geometry of the non-contextual / local polytope.
 
 Vertices are the behaviors of global deterministic assignments. All
-verdicts (classical bounds, membership, facet tightness) are computed in
-exact rational arithmetic; the assignment scan itself runs on scaled
-int64 coefficients (see _kernels) with an overflow guard that falls back
-to Fractions.
+verdicts (classical bounds, membership, facet tightness) are exact.
+Classical bounds take one path: the inequality's coefficients are scaled
+to integers and maximized by variable elimination (see _kernels), which
+is exact on int64 tables and on Python ints when those could overflow.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,9 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import best_assignment, decode_assignment
-from .errors import BudgetExceeded, NoDisturbanceViolated, ScenarioMismatch
-from .graphs import is_complete_n_partite
+from ._kernels import best_assignment
+from .errors import BudgetExceeded, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
@@ -201,7 +199,7 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
 
 def _int_terms(scenario, inequality):
     """Terms with outcome labels replaced by indices and coefficients
-    scaled to integers; returns (terms, denominator, max_abs_sum)."""
+    scaled to integers; returns (terms, denominator)."""
     label_pos = [
         {o: k for k, o in enumerate(outs)} for outs in scenario.outcomes
     ]
@@ -209,16 +207,13 @@ def _int_terms(scenario, inequality):
     for _, _, coef in inequality.terms:
         denom = denom * coef.denominator // math.gcd(denom, coef.denominator)
     terms = []
-    absum = 0
     for members, asg, coef in inequality.terms:
-        c = int(coef * denom)
-        absum += abs(c)
         terms.append((
             tuple(members),
             tuple(label_pos[m][o] for m, o in zip(members, asg)),
-            c,
+            int(coef * denom),
         ))
-    return terms, denom, absum
+    return terms, denom
 
 
 def _merge_terms(terms):
@@ -229,102 +224,27 @@ def _merge_terms(terms):
     return [(m, o, c) for (m, o), c in acc.items() if c]
 
 
-def _bound_by_party_decomposition(scenario, inequality, partition, budget):
-    """Exact classical bound for complete multipartite compatibility.
-
-    Deterministic assignments factor per party and every term touches at
-    most one measurement of each party, so one party (the one with the
-    largest assignment space) can be maximized setting-by-setting while
-    the others are enumerated jointly.
-    """
-    radices, _ = _assignment_space(scenario)
-    prods = []
-    for part in partition.parts:
-        p = 1
-        for m in part:
-            p *= radices[m]
-        prods.append(p)
-    star = max(range(len(prods)), key=lambda k: prods[k])
-    star_meas = set(partition.parts[star])
-    others = [m for m in range(len(radices)) if m not in star_meas]
-    other_total = 1
-    for m in others:
-        other_total *= radices[m]
-    if other_total > budget:
-        raise BudgetExceeded(
-            f"{other_total} assignments on the enumerated parties exceed budget {budget}")
-
-    split = []
-    for members, asg, coef in inequality.terms:
-        inside = [(m, o) for m, o in zip(members, asg) if m in star_meas]
-        outside = tuple((m, o) for m, o in zip(members, asg) if m not in star_meas)
-        if len(inside) > 1:
-            raise ScenarioMismatch(
-                "term references two measurements of the same party")
-        split.append((outside, inside[0] if inside else None, coef))
-
-    best = None
-    for combo in itertools.product(*(scenario.outcomes[m] for m in others)):
-        val = dict(zip(others, combo))
-        base = Fraction(0)
-        gains = {m: {o: Fraction(0) for o in scenario.outcomes[m]}
-                 for m in star_meas}
-        for outside, inside, coef in split:
-            if any(val[m] != o for m, o in outside):
-                continue
-            if inside is None:
-                base += coef
-            else:
-                m, o = inside
-                gains[m][o] += coef
-        total = base + sum(max(g.values()) for g in gains.values())
-        if best is None or total > best:
-            best = total
-    return best
-
-
 def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
     """Exact maximum of the inequality over deterministic assignments.
 
-    Complete multipartite scenarios use the per-party decomposition (the
-    assignment space factorizes); everything else is a full scan on the
-    integer kernel, with a Fraction fallback if the scaled coefficients
-    could overflow int64.
+    One path: the coefficients are scaled to integers over their common
+    denominator and maximized by variable elimination, on int64 tables or,
+    when the scaled coefficients are too wide for those, on Python ints.
+    budget caps the entries of the largest elimination table.
     """
     check_inequality(scenario, inequality)
-    if not inequality.terms:
-        return Fraction(0)
-    radices, total = _assignment_space(scenario)
-
-    if total > budget:
-        partition = is_complete_n_partite(scenario.compat)
-        if partition is not None and partition.n_parts >= 2:
-            return _bound_by_party_decomposition(scenario, inequality, partition, budget)
-        raise BudgetExceeded(f"{total} assignments exceed budget {budget}")
-
-    terms, denom, absum = _int_terms(scenario, inequality)
+    terms, denom = _int_terms(scenario, inequality)
     terms = _merge_terms(terms)
     if not terms:
         return Fraction(0)
-    if absum < (1 << 62):
-        best, _ = best_assignment(radices, terms)
-        return Fraction(best, denom)
-
-    # exact fallback for coefficients too wide for int64
-    best = None
-    for combo in itertools.product(*scenario.outcomes):
-        v = Fraction(0)
-        for members, asg, coef in inequality.terms:
-            if all(combo[m] == o for m, o in zip(members, asg)):
-                v += coef
-        if best is None or v > best:
-            best = v
-    return best
+    radices, _ = _assignment_space(scenario)
+    best, _ = best_assignment(radices, terms, budget)
+    return Fraction(best, denom)
 
 
 def _vertex_values(desc, inequality):
     """Exact inequality value for every enumerated vertex."""
-    terms, denom, _ = _int_terms(desc.scenario, inequality)
+    terms, denom = _int_terms(desc.scenario, inequality)
     weights = np.zeros(desc.layout.size, dtype=np.int64)
     for members, out_idx, c in terms:
         ctx_i = None

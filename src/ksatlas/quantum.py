@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     InvalidModel,
     InvalidSet,
     NonCommutingContext,
@@ -399,7 +400,7 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0,
                 observables[m] = polar_sign(f)
             val = float(vals[-1])
             if val < prev - 1e-9:
-                raise RuntimeError("seesaw lost monotonicity")
+                raise ConvergenceFailure("seesaw lost monotonicity")
             if abs(val - prev) <= ftol * (1.0 + abs(val)):
                 converged = True
                 break

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ConvergenceFailure
+
 __all__ = ["FeasibilityResult", "solve_feasibility"]
 
 ZERO = Fraction(0)
@@ -78,7 +80,7 @@ def solve_feasibility(a_rows, b):
                     best, leave = ratio, i
         if leave < 0:
             # phase-1 objective is bounded below by 0, so this cannot occur
-            raise RuntimeError("phase-1 simplex reported unboundedness")
+            raise ConvergenceFailure("phase-1 simplex reported unboundedness")
         piv = tab[leave][enter]
         tab[leave] = [v / piv for v in tab[leave]]
         for i in range(m):

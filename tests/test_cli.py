@@ -138,3 +138,16 @@ def test_report_envelope_fields(workdir, capsys):
     assert doc["tool"] == "ksatlas"
     assert doc["command"] == "bound"
     assert "config" in doc and "version" in doc
+
+
+def test_seesaw_failure_exits_3_without_traceback(workdir, capsys, monkeypatch):
+    import ksatlas.quantum as quantum
+    polar_sign = quantum.polar_sign
+    # the worst observable instead of the best one: the value must drop
+    monkeypatch.setattr(quantum, "polar_sign", lambda f: -polar_sign(f))
+    code = main(["qvalue", "pearle.scenario.json", "pearle.gamma.json",
+                 "--dim", "2", "--restarts", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource limit: seesaw lost monotonicity")
+    assert "Traceback" not in err

@@ -137,11 +137,12 @@ def test_empty_inequality_bound_is_zero(hexagon):
 
 
 def test_bound_decomposition_agrees_with_scan(chsh):
-    # same inequality on the same scenario through both code paths: the
-    # full assignment scan and the per-party decomposition
+    # a budget of 8 entries still admits the elimination order, whose
+    # largest table (one party setting with its two partners) has 2^3
+    # entries, while a one-bucket scan of the 2^4 assignments would not fit
     scenario, ineq = chsh
     full = classical_bound(ineq, scenario, budget=1 << 24)
-    decomposed = classical_bound(ineq, scenario, budget=8)  # forces split
+    decomposed = classical_bound(ineq, scenario, budget=8)
     assert full == decomposed == 2
 
 
