@@ -30,17 +30,25 @@ USE_NUMBA = False
 
 INT64_LIMIT = 1 << 62
 
-__all__ = ["best_assignment", "decode_assignment"]
+__all__ = ["best_assignment", "decode_assignment", "term_event"]
+
+
+def term_event(members, outs):
+    """{measurement: outcome} of a term, or None when the term names a
+    measurement twice with different outcomes and so never fires."""
+    event = {}
+    if any(event.setdefault(m, o) != o for m, o in zip(members, outs)):
+        return None
+    return event
 
 
 def _scope_tables(radices, terms, dtype):
     """One table per scope (sorted measurement tuple), summing the
-    coefficients of every term on that scope. A term that names a
-    measurement twice with different outcomes never fires."""
+    coefficients of every term on that scope."""
     tables = {}
     for members, outs, coef in terms:
-        event = {}
-        if any(event.setdefault(m, o) != o for m, o in zip(members, outs)):
+        event = term_event(members, outs)
+        if event is None:
             continue
         scope = tuple(sorted(event))
         tab = tables.get(scope)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import best_assignment
+from ._kernels import INT64_LIMIT, best_assignment, term_event
 from .errors import BudgetExceeded, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
@@ -98,8 +98,8 @@ class Layout:
 class PolytopeDescription:
     scenario: object
     layout: Layout
-    coords: np.ndarray          # (N, D) uint8, one row per distinct vertex
-    assignment_index: np.ndarray  # first assignment realizing each vertex
+    coords: np.ndarray          # (N, D) uint8, one row per vertex
+    assignment_index: np.ndarray  # the assignment realizing each vertex
 
     @property
     def n_vertices(self):
@@ -163,10 +163,12 @@ def _assignment_space(scenario):
 
 
 def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
-    """All deterministic-assignment behaviors as exact 0/1 coordinate rows.
+    """All deterministic-assignment behaviors as exact 0/1 coordinate rows,
+    one per assignment in mixed-radix order.
 
-    Duplicate images are merged on the full coordinate vector; row order
-    follows the first realizing assignment, so output is deterministic.
+    The rows are distinct: every measurement lies in some maximal context
+    (isolated ones in a singleton), so a vertex's coordinates determine
+    its assignment and no deduplication is needed.
     """
     layout = Layout(scenario)
     radices, total = _assignment_space(scenario)
@@ -176,25 +178,28 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{total} x {layout.size} coordinate entries exceed the memory budget")
 
-    digits = np.zeros((total, len(radices)), dtype=np.int64)
+    # one digit vector per measurement, in the smallest dtype that holds
+    # it, so no total x n_meas int64 matrix is ever built
     idx = np.arange(total, dtype=np.int64)
+    digits = [None] * len(radices)
     stride = 1
     for m in range(len(radices) - 1, -1, -1):
-        digits[:, m] = (idx // stride) % radices[m]
+        digits[m] = ((idx // stride) % radices[m]).astype(
+            np.min_scalar_type(radices[m] - 1))
         stride *= radices[m]
 
     coords = np.zeros((total, layout.size), dtype=np.uint8)
-    for ci, (ctx, grid) in enumerate(zip(layout.contexts, layout.grids)):
-        pos = np.zeros(total, dtype=np.int64)
+    for ci, ctx in enumerate(layout.contexts):
+        pos = np.full(total, layout.offsets[ci], dtype=np.int64)
         s = 1
         for m in reversed(ctx):
-            pos += digits[:, m] * s
+            # widen first: a small-dtype digit times a stride past its
+            # range would wrap under NumPy 1.x value-based casting
+            pos += digits[m].astype(np.int64) * s
             s *= radices[m]
-        coords[idx, layout.offsets[ci] + pos] = 1
+        coords[idx, pos] = 1
 
-    _, first = np.unique(coords, axis=0, return_index=True)
-    keep = np.sort(first)
-    return PolytopeDescription(scenario, layout, coords[keep], keep)
+    return PolytopeDescription(scenario, layout, coords, idx)
 
 
 def _int_terms(scenario, inequality):
@@ -243,30 +248,34 @@ def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
 
 
 def _vertex_values(desc, inequality):
-    """Exact inequality value for every enumerated vertex."""
+    """Exact inequality value for every enumerated vertex: one integer
+    product of the coordinate rows with the scaled coefficients."""
     terms, denom = _int_terms(desc.scenario, inequality)
-    weights = np.zeros(desc.layout.size, dtype=np.int64)
+    layout = desc.layout
+    weights = [0] * layout.size
     for members, out_idx, c in terms:
-        ctx_i = None
-        for k, ctx in enumerate(desc.layout.contexts):
-            if set(members) <= set(ctx):
-                ctx_i = k
-                break
+        event = term_event(members, out_idx)
+        if event is None:
+            continue
+        ctx_i = next(k for k, ctx in enumerate(layout.contexts)
+                     if set(event) <= set(ctx))
         # distribute the sub-context event over the containing table
-        grid = desc.layout.grids[ctx_i]
-        ctx = desc.layout.contexts[ctx_i]
-        want = dict(zip(members, out_idx))
-        for k, asg in enumerate(grid):
-            ok = True
-            for m, oi in want.items():
-                pos = ctx.index(m)
-                if asg[pos] != desc.scenario.outcomes[m][oi]:
-                    ok = False
-                    break
-            if ok:
-                weights[desc.layout.offsets[ctx_i] + k] += c
-    vals = desc.coords.astype(np.int64) @ weights
-    return vals, denom
+        ctx = layout.contexts[ctx_i]
+        want = [(ctx.index(m), desc.scenario.outcomes[m][oi])
+                for m, oi in event.items()]
+        for k, asg in enumerate(layout.grids[ctx_i]):
+            if all(asg[pos] == o for pos, o in want):
+                weights[layout.offsets[ctx_i] + k] += c
+    return _int_products(desc.coords, weights), denom
+
+
+def _int_products(coords, weights):
+    """coords @ weights exactly: int64 while the absolute weights sum
+    below INT64_LIMIT (each 0/1 row then stays inside int64), Python
+    ints otherwise."""
+    if sum(abs(w) for w in weights) < INT64_LIMIT:
+        return coords.astype(np.int64) @ np.array(weights, dtype=np.int64)
+    return coords.astype(object) @ np.array(weights, dtype=object)
 
 
 def polytope_dimension(scenario, budget=DEFAULT_BUDGET):
@@ -276,7 +285,8 @@ def polytope_dimension(scenario, budget=DEFAULT_BUDGET):
 
 def int_rank(rows):
     """Rank over the rationals of an integer matrix (Bareiss elimination;
-    all intermediate values stay integers)."""
+    every intermediate value is an integer minor, so each division by the
+    previous pivot is exact)."""
     rows = [[int(v) for v in r] for r in rows]
     m = len(rows)
     if m == 0:
@@ -296,7 +306,8 @@ def int_rank(rows):
         p = rows[rank][c]
         for i in range(rank + 1, m):
             ric = rows[i][c]
-            if ric == 0 and prev == 1:
+            if ric == 0 and p == prev:
+                # the update would leave the row unchanged
                 continue
             row_i, row_r = rows[i], rows[rank]
             for j in range(c + 1, n):
@@ -310,12 +321,21 @@ def int_rank(rows):
 
 
 def _affine_rank(coords):
-    """Dimension of the affine hull of integer coordinate rows."""
+    """Dimension of the affine hull of 0/1 coordinate rows.
+
+    The hull's dimension is the rank of the difference rows A from the
+    first vertex, and over Q rank(A) = rank(A^T A) = rank(A A^T), so
+    int_rank runs on the smaller of the two Gram matrices. A's entries
+    are in {-1, 0, 1}, so each Gram entry is an integer no larger than
+    A's longer side, which stays below 2**53: the float64 product is
+    exact.
+    """
     if coords.shape[0] <= 1:
         return 0
-    base = coords[0].astype(np.int64)
-    diffs = coords[1:].astype(np.int64) - base
-    return int_rank(diffs.tolist())
+    diffs = coords[1:].astype(np.float64) - coords[0]
+    assert max(diffs.shape) < 1 << 53, "float64 Gram entries would not be exact"
+    gram = diffs.T @ diffs if diffs.shape[1] <= diffs.shape[0] else diffs @ diffs.T
+    return int_rank(gram.astype(np.int64).tolist())
 
 
 def tightness_test(inequality, scenario, budget=DEFAULT_BUDGET):
@@ -336,36 +356,28 @@ def tightness_test(inequality, scenario, budget=DEFAULT_BUDGET):
     return TightnessReport(verdict, max_val, int(len(sat)), face_dim, poly_dim)
 
 
-def _membership_lp(vertex_cols, coords_b, tol):
+def _membership_lp(coords, coords_b, tol):
     """Feasibility system for convex weights, optionally with slack tol.
 
     Columns: N vertex weights, then for tol > 0 per coordinate a +slack,
     a -slack and a cap filler. Rows: D coordinate equations, the weight
-    normalization, and for tol > 0 the slack caps.
+    normalization, and for tol > 0 the slack caps. Coefficients are
+    Python ints; only the right-hand sides are Fractions.
     """
-    n = len(vertex_cols)
-    d = len(coords_b)
-    rows = []
-    rhs = []
-    width = n if tol == 0 else n + 3 * d
-    for i in range(d):
-        row = [Fraction(int(col[i])) for col in vertex_cols]
-        if tol != 0:
-            row += [Fraction(0)] * (3 * d)
-            row[n + 3 * i] = Fraction(1)
-            row[n + 3 * i + 1] = Fraction(-1)
-        rows.append(row)
-        rhs.append(coords_b[i])
-    rows.append([Fraction(1)] * n + [Fraction(0)] * (width - n))
+    n, d = coords.shape
+    extra = 0 if tol == 0 else 3 * d
+    rows = [row + [0] * extra for row in coords.T.tolist()]
+    rhs = list(coords_b)
+    rows.append([1] * n + [0] * extra)
     rhs.append(Fraction(1))
     if tol != 0:
         for i in range(d):
-            row = [Fraction(0)] * width
-            row[n + 3 * i] = Fraction(1)
-            row[n + 3 * i + 1] = Fraction(1)
-            row[n + 3 * i + 2] = Fraction(1)
+            rows[i][n + 3 * i] = 1
+            rows[i][n + 3 * i + 1] = -1
+            row = [0] * (n + extra)
+            row[n + 3 * i: n + 3 * i + 3] = [1, 1, 1]
             rows.append(row)
-            rhs.append(frac(tol))
+            rhs.append(tol)
     return rows, rhs
 
 
@@ -391,16 +403,15 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     desc = enumerate_vertices(scenario, budget=budget)
     layout = desc.layout
     b = layout.behavior_coords(behavior)
-    cols = [desc.coords[i] for i in range(desc.n_vertices)]
 
-    rows, rhs = _membership_lp(cols, b, tol)
+    rows, rhs = _membership_lp(desc.coords, b, tol)
     res = solve_feasibility(rows, rhs)
     if res.feasible:
         weights = {i: res.x[i] for i in range(desc.n_vertices) if res.x[i] != 0}
         return MembershipResult(True, weights=weights)
 
     if tol != 0:
-        rows, rhs = _membership_lp(cols, b, Fraction(0))
+        rows, rhs = _membership_lp(desc.coords, b, Fraction(0))
         res = solve_feasibility(rows, rhs)
         if res.feasible:
             # inside exactly but the slack system failed: cannot happen
@@ -410,11 +421,9 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
 
     y = res.certificate
     coefs = y[: layout.size]
-    vert_vals = [
-        sum(c * int(col[i]) for i, c in enumerate(coefs) if c)
-        for col in cols
-    ]
-    bound = max(vert_vals)
+    denom = math.lcm(*(c.denominator for c in coefs))
+    vert_vals = _int_products(desc.coords, [int(c * denom) for c in coefs])
+    bound = Fraction(int(vert_vals.max()), denom)
     value = sum(c * b[i] for i, c in enumerate(coefs) if c)
     terms = tuple(
         (layout.pairs[i][0], layout.pairs[i][1], coefs[i])

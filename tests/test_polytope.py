@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ksatlas.bridge import n_cycle
 from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated
 from ksatlas.polytope import (
     Layout,
+    _affine_rank,
     classical_bound,
     enumerate_vertices,
     int_rank,
@@ -85,6 +89,19 @@ def test_chsh_sixteen_vertices_dim8(chsh):
     assert np.linalg.matrix_rank(diffs, tol=1e-9) == 8
 
 
+@pytest.mark.parametrize("radices, edges", [
+    ([3, 2, 3, 2], [(0, 1), (1, 2), (2, 3)]),
+    ([8, 8, 5], [(0, 1), (1, 2), (0, 2)]),  # table positions past 255
+])
+def test_rows_follow_first_realizing_assignment(radices, edges):
+    # mixed radices: row order, rows and assignment_index match the
+    # first-occurrence scan of the brute-force oracle exactly
+    s = build_scenario([f"m{i}" for i in range(len(radices))], radices, edges)
+    desc = enumerate_vertices(s)
+    assert desc.coords.tolist() == brute_vertices(s)
+    assert desc.assignment_index.tolist() == list(range(int(np.prod(radices))))
+
+
 def test_budget_is_enforced():
     s = build_scenario([f"m{i}" for i in range(8)], [2] * 8, [])
     with pytest.raises(BudgetExceeded):
@@ -112,6 +129,51 @@ def test_int_rank_matches_numpy():
 def test_int_rank_handles_dependent_rows():
     assert int_rank([[1, 2], [2, 4], [3, 6]]) == 1
     assert int_rank([[0, 0], [0, 0]]) == 0
+
+
+def fraction_rank(rows):
+    """Oracle: Gaussian elimination over Fractions."""
+    rows = [[F(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_int_rank_scales_rows_with_zero_in_pivot_column():
+    # the row with a zero below the second pivot must still be scaled by
+    # it, or the next exact division goes wrong; the determinant is 1
+    assert int_rank([[2, 0, -1], [1, -1, -1], [0, 3, 1]]) == 3
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 3), min_size=n, max_size=n),
+    min_size=1, max_size=6)))
+def test_int_rank_matches_fraction_elimination(rows):
+    assert int_rank(rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_affine_rank_matches_float_rank_on_cycles(n):
+    scenario, _ = n_cycle(n)
+    coords = enumerate_vertices(scenario).coords
+    rng = np.random.default_rng(n)
+    subsets = [coords] + [
+        coords[np.sort(rng.choice(len(coords), size=int(rng.integers(n, 3 * n)),
+                                  replace=False))]
+        for _ in range(100)
+    ]
+    for rows in subsets:
+        diffs = rows[1:].astype(float) - rows[0]
+        assert _affine_rank(rows) == np.linalg.matrix_rank(diffs)
 
 
 # -- classical bounds -------------------------------------------------------------
@@ -188,6 +250,36 @@ def test_tightness_edge_verdicts(hexagon):
     assert tightness_test(loose, scenario).verdict == "not supporting"
     violated = Inequality(gamma.terms, 3, gamma.kind)
     assert tightness_test(violated, scenario).verdict == "violated-by-vertex"
+
+
+def test_tightness_with_coefficients_past_int64(chsh):
+    # coefficients 1/p for primes near 10**6: scaled to their common
+    # denominator they are far past int64, yet the verdict stays exact
+    scenario, _ = chsh
+    a, b = scenario.outcomes[0]
+    events = [((0, 2), (a, a)), ((0, 3), (a, b)), ((1, 2), (b, a)),
+              ((1, 3), (b, b)), ((0,), (a,))]
+    primes = [999953, 999959, 999961, 999979, 999983]
+    terms = tuple((m, o, F(1, p)) for (m, o), p in zip(events, primes))
+    bound = classical_bound(Inequality(terms, 0, "LR"), scenario)
+    ineq = Inequality(terms, bound, "LR")
+    desc = enumerate_vertices(scenario)
+    assert bound == max(evaluate(ineq, desc.vertex_behavior(i))
+                        for i in range(desc.n_vertices))
+    assert tightness_test(ineq, scenario).classical_bound == bound
+
+
+def test_conflicting_outcome_term_never_fires(chsh):
+    # a term naming measurement 0 twice with different outcomes has no
+    # vertex on which it fires, in tightness_test as in classical_bound
+    scenario, _ = chsh
+    a, b = scenario.outcomes[0]
+    terms = (((0, 0), (b, a), F(1)), ((0, 2), (a, a), F(1)))
+    bound = classical_bound(Inequality(terms, 0, "LR"), scenario)
+    assert bound == 1
+    rep = tightness_test(Inequality(terms, bound, "LR"), scenario)
+    assert rep.classical_bound == bound
+    assert rep.verdict != "violated-by-vertex"
 
 
 def test_facet_bound_perturbation_is_violated(hexagon):
