@@ -4,6 +4,12 @@ The same Graph type plays two roles: compatibility graphs of measurement
 scenarios (cliques = contexts, multipartite structure = party structure)
 and exclusivity graphs of witnesses (independence number bounds the
 classical value, the Lovasz number the quantum one).
+
+The independence number is exact (branch and bound). The Lovasz number is
+a certified interval from one primal-dual interior-point solve of its SDP:
+a feasible primal point, made exactly feasible by a diagonal shift, gives
+the lower end, and lambda_max of the dual matrix plus its eigen-residual
+gives the upper end.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,8 +72,12 @@ class Graph:
             masks[j] |= 1 << i
         return masks
 
+    @cached_property
+    def _edge_set(self):
+        return frozenset(self.edges)
+
     def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in set(self.edges)
+        return (min(i, j), max(i, j)) in self._edge_set
 
     def degree_sequence(self):
         deg = [0] * self.n
@@ -77,7 +88,7 @@ class Graph:
 
     def complement(self):
         comp = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if (i, j) not in set(self.edges)]
+                if (i, j) not in self._edge_set]
         return Graph(self.n, tuple(comp))
 
     def to_json(self):
@@ -168,6 +179,14 @@ def complete_multipartite_graph(part_sizes):
 
 # -- maximal cliques ----------------------------------------------------------
 
+def _bits(mask):
+    """Set bit positions of a python-int bitset, lowest first."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
 def maximal_cliques(graph):
     """All maximal cliques, each sorted, the list in lexicographic order.
 
@@ -178,19 +197,13 @@ def maximal_cliques(graph):
     adj = graph.adjacency_masks()
     out = []
 
-    def bits(mask):
-        while mask:
-            lsb = mask & -mask
-            yield lsb.bit_length() - 1
-            mask ^= lsb
-
     def expand(r, p, x):
         if p == 0 and x == 0:
             out.append(tuple(sorted(r)))
             return
         pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda v: (adj[v] & p).bit_count())
-        for v in bits(p & ~adj[pivot]):
+        pivot = max(_bits(pivot_pool), key=lambda v: (adj[v] & p).bit_count())
+        for v in _bits(p & ~adj[pivot]):
             expand(r + [v], p & adj[v], x & adj[v])
             p &= ~(1 << v)
             x |= 1 << v
@@ -310,12 +323,6 @@ def independence_number(graph, size_limit=DEFAULT_SIZE_LIMIT):
 
     best = 0
 
-    def bits(mask):
-        while mask:
-            lsb = mask & -mask
-            yield lsb.bit_length() - 1
-            mask ^= lsb
-
     def color_sort(cand_mask):
         """Greedy coloring of candidates; returns vertices with their color
         numbers in color order (ascending bound)."""
@@ -326,7 +333,7 @@ def independence_number(graph, size_limit=DEFAULT_SIZE_LIMIT):
             color += 1
             avail = uncolored
             while avail:
-                v = next(iter(bits(avail)))
+                v = next(_bits(avail))
                 colored.append((v, color))
                 avail &= ~adj[v]
                 avail &= ~(1 << v)
@@ -352,6 +359,13 @@ def independence_number(graph, size_limit=DEFAULT_SIZE_LIMIT):
 
 # -- Lovasz theta -------------------------------------------------------------
 
+# Newton steps before lovasz_theta gives up; the predictor-corrector closes
+# tol=1e-6 on random graphs with up to 30 vertices in at most 15 steps.
+_MAX_NEWTON_STEPS = 100
+# share of the distance to the psd boundary that a corrector step takes
+_STEP_FRACTION = 0.95
+
+
 def _eig_margin(a, vals, vecs):
     """Frobenius norm of the eigendecomposition residual, a safe bound on
     how far any quoted eigenvalue may sit from the true spectrum."""
@@ -359,21 +373,19 @@ def _eig_margin(a, vals, vecs):
     return float(np.linalg.norm(r))
 
 
-def _certified_lower(x, n):
-    """Exactly feasible primal value from an affine-feasible iterate.
+def _certified_lower_from_point(x_ref, n):
+    """<J, X> for an exactly feasible X built from x_ref.
 
-    x has zero edge entries and unit trace; the smallest eigenvalue is
-    shifted out with a diagonal correction (which keeps both affine
-    constraints after renormalization)."""
-    return _certified_lower_from_point(x, n)
-
-
-def _dual_matrix(j, lam_edges, edges):
-    m = j.copy()
-    for k, (a, b) in enumerate(edges):
-        m[a, b] += lam_edges[k]
-        m[b, a] += lam_edges[k]
-    return m
+    x_ref has zero edge entries and unit trace; its smallest eigenvalue
+    (less the residual margin) is shifted out with a multiple of the
+    identity, which keeps both affine constraints after renormalization.
+    The value is lowered by a bound on the rounding of the n^2-term sum
+    and of the unit trace, so it never exceeds the true <J, X>.
+    """
+    vals, vecs = np.linalg.eigh(x_ref)
+    delta = max(0.0, -float(vals[0]) + _eig_margin(x_ref, vals, vecs))
+    rounding = n * n * np.finfo(float).eps * np.abs(x_ref).sum()
+    return float((x_ref.sum() + delta * n) / (1.0 + delta * n) - rounding)
 
 
 def _certified_upper(m):
@@ -383,91 +395,33 @@ def _certified_upper(m):
     return float(vals[-1]) + _eig_margin(m, vals, vecs)
 
 
-def _dual_face_lower(dual_matrix, edges, n, max_rank=24):
-    """Certified primal value from the top eigen-cluster of J + Lambda.
-
-    Near optimality the primal optimum is supported on the top eigenspace
-    of the certified dual matrix, so the affine constraints (edges, unit
-    trace) are solved by least squares inside that face for increasing
-    cluster sizes; a candidate only counts if it reproduces the
-    constraints to 1e-10, after which the usual diagonal-shift
-    certification applies. Returns None when no face is accurate enough.
-    """
-    vals, vecs = np.linalg.eigh(dual_matrix)
-    t = vals[-1]
-    ei = np.array([e[0] for e in edges], dtype=np.intp)
-    ej = np.array([e[1] for e in edges], dtype=np.intp)
-    best = None
-    for r in range(1, min(n, max_rank) + 1):
-        if vals[n - r] < t - 1e-3 * max(1.0, abs(t)):
-            break
-        v = vecs[:, n - r:]
-        pairs = [(p, q) for p in range(r) for q in range(p, r)]
-        a = np.zeros((len(edges) + 1, len(pairs)))
-        for k, (p, q) in enumerate(pairs):
-            col = v[ei, p] * v[ej, q]
-            if p != q:
-                col = col + v[ei, q] * v[ej, p]
-            a[:-1, k] = col
-            a[-1, k] = 1.0 if p == q else 0.0
-        b = np.zeros(len(edges) + 1)
-        b[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        m = np.zeros((r, r))
-        for k, (p, q) in enumerate(pairs):
-            m[p, q] += sol[k]
-            if p != q:
-                m[q, p] += sol[k]
-        x_ref = v @ m @ v.T
-        viol = abs(np.trace(x_ref) - 1.0)
-        if len(edges):
-            viol = max(viol, float(np.abs(x_ref[ei, ej]).max()))
-        if viol > 1e-10:
-            continue
-        val = _certified_lower_from_point(x_ref, n)
-        if best is None or val > best:
-            best = val
-    return best
+def _step_to_boundary(chol_inv, d):
+    """Largest a with S + a*d psd (inf if every a is); chol_inv = L^-1, S = L L^T."""
+    low = float(np.linalg.eigvalsh(chol_inv @ d @ chol_inv.T)[0])
+    if not np.isfinite(low):
+        raise np.linalg.LinAlgError("non-finite search direction")
+    return -1.0 / low if low < 0 else np.inf
 
 
-def _certified_lower_from_point(x_ref, n):
-    vals, vecs = np.linalg.eigh(x_ref)
-    delta = max(0.0, -float(vals[0]) + _eig_margin(x_ref, vals, vecs))
-    return float((x_ref.sum() + delta * n) / (1.0 + delta * n))
-
-
-def _recover_multipliers(x_feas, edges, n):
-    """Least-squares dual recovery from complementary slackness.
-
-    Solves (t I - J - Lambda) X ~ 0 for scalar t and edge-supported
-    Lambda, the relation the optimal dual slack satisfies on the optimal
-    primal X. Only Lambda is returned; the bound is recomputed from it.
-    """
-    ne = len(edges)
-    a = np.zeros((n * n, 1 + ne))
-    a[:, 0] = x_feas.flatten()
-    for k, (u, v) in enumerate(edges):
-        e = np.zeros((n, n))
-        e[u, v] = 1.0
-        e[v, u] = 1.0
-        a[:, 1 + k] = (e @ x_feas).flatten()
-    b = (np.ones((n, n)) @ x_feas).flatten()
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return -sol[1:]
-
-
-def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT, max_iters=200_000):
-    """Certified interval [lower, upper] for the Lovasz number.
+def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
+    """Certified interval (lower, upper) for the Lovasz number.
 
     The primal SDP  max <J,X>  s.t.  Tr X = 1, X_ij = 0 on edges, X psd
-    and its dual  min lambda_max(J + Lambda)  over edge-supported Lambda
-    are both solved by ADMM splitting (affine projection / psd
-    projection). The reported lower bound comes from an exactly feasible
-    primal point; the upper bound is lambda_max(J + Lambda) recomputed
-    from the better of the dual iterate and a least-squares multiplier
-    recovery, so it is valid no matter how far the iteration got. Raises
-    ConvergenceFailure if the interval cannot be closed to tol within the
-    iteration cap.
+    and its dual  min t  s.t.  Z = t I + sum_e y_e A_e - J psd  (A_e the
+    symmetric unit matrix of edge e) are solved together by the HRVW/XZ
+    primal-dual interior-point method (Helmberg, Rendl, Vanderbei and
+    Wolkowicz, SIAM J. Optim. 6, 1996): HKM search directions with
+    Mehrotra's predictor-corrector, one Schur system of size |E|+1 per
+    Newton step. Each iterate yields two certificates:
+
+    - lower: X projected onto Tr X = 1 with zero edge entries, made psd by
+      a diagonal shift (`_certified_lower_from_point`);
+    - upper: lambda_max(J - sum_e y_e A_e) plus its eigen-residual margin,
+      valid for any multipliers y (`_certified_upper`).
+
+    Returns the best interval once it is at most tol wide. A failed
+    factorization, a stalled step or _MAX_NEWTON_STEPS steps raise
+    ConvergenceFailure with the best interval found.
     """
     if graph.n > size_limit:
         raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
@@ -476,122 +430,88 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT, max_iters=200_0
     n = graph.n
     if n == 0:
         return (0.0, 0.0)
-    edges = list(graph.edges)
-    j = np.ones((n, n))
+    ei = np.array([e[0] for e in graph.edges], dtype=np.intp)
+    ej = np.array([e[1] for e in graph.edges], dtype=np.intp)
+    j, eye = np.ones((n, n)), np.eye(n)
+    b = np.zeros(len(ei) + 1)
+    b[0] = 1.0
 
-    ei = np.array([e[0] for e in edges], dtype=np.intp)
-    ej = np.array([e[1] for e in edges], dtype=np.intp)
-    edge_mask = np.zeros((n, n), dtype=bool)
-    if edges:
-        edge_mask[ei, ej] = True
-        edge_mask[ej, ei] = True
-    nonedge_mask = ~edge_mask & ~np.eye(n, dtype=bool)
+    def a_op(g):
+        """<A_k, g> for the trace constraint and every edge."""
+        return np.concatenate(([np.trace(g)], g[ei, ej] + g[ej, ei]))
 
-    def proj_affine(m):
-        m = 0.5 * (m + m.T)
-        if len(edges):
-            m[ei, ej] = 0.0
-            m[ej, ei] = 0.0
-        m[np.diag_indices(n)] += (1.0 - np.trace(m)) / n
-        return m
-
-    def proj_psd(m):
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-        pos = np.clip(vals, 0.0, None)
-        return (vecs * pos) @ vecs.T
-
-    def dual_step(v, rho):
-        """Project v onto the dual affine set {t I - J - Lambda}, pulling
-        the common diagonal value down by the objective gradient."""
-        v = 0.5 * (v + v.T)
-        s = v.copy()
-        s[nonedge_mask] = -1.0
-        d = float(np.trace(v)) / n - 1.0 / (rho * n)
-        s[np.diag_indices(n)] = d
+    def on_edges(base, v):
+        s = base.copy()
+        s[ei, ej] += v
+        s[ej, ei] += v
         return s
 
-    x = np.eye(n) / n
-    z = x.copy()
-    u = np.zeros((n, n))
-    rho_p = float(n)
+    def a_adj(y):
+        return on_edges(y[0] * eye, y[1:])
 
-    sd = float(n) * np.eye(n) - j          # t = n is always dual feasible
-    zd = sd.copy()
-    ud = np.zeros((n, n))
-    rho_d = 1.0
+    def schur(x, w):
+        """M_kl = Tr(A_k X A_l W); an edge pair is a sum of four products."""
+        m = np.empty((len(b), len(b)))
+        xw = x @ w
+        m[0, 0] = np.sum(x * w)
+        m[0, 1:] = m[1:, 0] = xw[ei, ej] + xw[ej, ei]
+        m[1:, 1:] = (x[np.ix_(ej, ei)] * w[np.ix_(ei, ej)] + x[np.ix_(ej, ej)] * w[np.ix_(ei, ei)]
+                     + x[np.ix_(ei, ei)] * w[np.ix_(ej, ej)] + x[np.ix_(ei, ej)] * w[np.ix_(ej, ei)])
+        return m
 
-    best = (0.0, float(n))
-    alpha_cert = None
-    check_every = 50
-    for it in range(1, max_iters + 1):
-        x = proj_affine(z - u + j / rho_p)
-        z_old = z
-        z = proj_psd(x + u)
-        u = u + x - z
+    x = eye / n
+    y = b * (n + 1.0)
+    z = a_adj(y) - j
+    lo, hi = 0.0, float(n)
+    why = f"no convergence in {_MAX_NEWTON_STEPS} Newton steps"
+    try:
+        for _ in range(_MAX_NEWTON_STEPS):
+            x_ref = x.copy()
+            x_ref[ei, ej] = x_ref[ej, ei] = 0.0
+            x_ref[np.diag_indices(n)] += (1.0 - np.trace(x_ref)) / n
+            lo = max(lo, _certified_lower_from_point(x_ref, n))
+            hi = min(hi, _certified_upper(on_edges(j, -y[1:])))
+            if hi - lo <= tol:
+                return (lo, hi)
 
-        sd = dual_step(zd - ud, rho_d)
-        zd_old = zd
-        zd = proj_psd(sd + ud)
-        ud = ud + sd - zd
+            lxi = np.linalg.inv(np.linalg.cholesky(x))
+            lzi = np.linalg.inv(np.linalg.cholesky(z))
+            w = lzi.T @ lzi
+            m = schur(x, w)
+            rp = b - a_op(x)
+            rd = j - a_adj(y) + z
+            xz, xrd = x @ z, x @ rd
 
-        if it % check_every:
-            continue
+            def direction(rc):
+                """HKM step for X dZ + dX Z = rc with the residuals closed."""
+                dy = np.linalg.solve(m, a_op((rc + xrd) @ w) - rp)
+                dz = a_adj(dy) - rd
+                dx = (rc - x @ dz) @ w
+                return 0.5 * (dx + dx.T), dy, dz
 
-        r = float(np.linalg.norm(x - z))
-        s = float(rho_p * np.linalg.norm(z - z_old))
-        if r > 10.0 * s and rho_p < 1e6:
-            rho_p *= 2.0
-            u /= 2.0
-        elif s > 10.0 * r and rho_p > 1e-6:
-            rho_p /= 2.0
-            u *= 2.0
-        rd = float(np.linalg.norm(sd - zd))
-        sdn = float(rho_d * np.linalg.norm(zd - zd_old))
-        if rd > 10.0 * sdn and rho_d < 1e6:
-            rho_d *= 2.0
-            ud /= 2.0
-        elif sdn > 10.0 * rd and rho_d > 1e-6:
-            rho_d /= 2.0
-            ud *= 2.0
-
-        lower = _certified_lower(x, n)
-        lam_dual = -1.0 - sd[ei, ej] if edges else np.zeros(0)
-        dual_mat = _dual_matrix(j, lam_dual, edges)
-        upper = _certified_upper(dual_mat)
-        if edges:
-            lam_ls = _recover_multipliers(proj_psd(x), edges, n)
-            ls_mat = _dual_matrix(j, lam_ls, edges)
-            ls_upper = _certified_upper(ls_mat)
-            if ls_upper < upper:
-                upper, dual_mat = ls_upper, ls_mat
-        if lower > best[0]:
-            best = (lower, best[1])
-        if upper < best[1]:
-            best = (best[0], upper)
-        if best[1] - best[0] > tol:
-            polished = _dual_face_lower(dual_mat, edges, n)
-            if polished is not None and polished > best[0]:
-                best = (polished, best[1])
-        if best[1] - best[0] > tol and it >= 2000 and alpha_cert is None and n <= 64:
-            # an independent set is a feasible primal point, and it is the
-            # whole optimum for the degenerate theta = alpha instances
-            # that stall first-order convergence
-            alpha_cert = float(independence_number(graph, size_limit=max(n, size_limit)))
-        if alpha_cert is not None and alpha_cert > best[0]:
-            best = (alpha_cert, best[1])
-        if best[1] - best[0] <= tol:
-            return best
-
-    raise ConvergenceFailure(
-        f"theta interval {best} wider than tol={tol} after {max_iters} iterations")
+            mu = np.trace(xz) / n
+            dx, dy, dz = direction(-xz)
+            ap = min(1.0, _step_to_boundary(lxi, dx))
+            ad = min(1.0, _step_to_boundary(lzi, dz))
+            sigma = (np.sum((x + ap * dx) * (z + ad * dz)) / (n * mu)) ** 3
+            dx, dy, dz = direction(sigma * mu * eye - xz - dx @ dz)
+            ap = min(1.0, _STEP_FRACTION * _step_to_boundary(lxi, dx))
+            ad = min(1.0, _STEP_FRACTION * _step_to_boundary(lzi, dz))
+            if max(ap, ad) < 1e-8:
+                why = "the Newton step stalled"
+                break
+            x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
+    except np.linalg.LinAlgError as exc:
+        why = f"linear algebra failed: {exc}"
+    raise ConvergenceFailure(f"theta interval {(lo, hi)} wider than tol={tol}: {why}")
 
 
 def contextuality_ratio(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     """alpha, certified theta interval and their ratio, bundled.
 
     An independent set of size alpha gives a feasible primal point, so
-    alpha is itself a certified lower bound and the interval is tightened
-    with it.
+    alpha is itself an exact lower bound on theta and tightens the
+    interval's lower end.
     """
     alpha = independence_number(graph, size_limit=size_limit)
     lo, hi = lovasz_theta(graph, tol=tol, size_limit=size_limit)

@@ -49,13 +49,7 @@ __all__ = [
 
 def frac(x):
     """Coerce ints, 'p/q' strings, floats and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def frac_str(x):
@@ -175,25 +169,23 @@ class Behavior:
             raise MissingContextTable(f"no table for context {key}")
         return self.tables[key]
 
-    def marginal(self, members, sub, assignment):
-        """P(assignment on sub) obtained from the table of `members`."""
-        tab = self.table(members)
-        members = tuple(sorted(members))
-        pos = {m: k for k, m in enumerate(members)}
-        want = dict(zip(sub, assignment))
-        total = 0 if self.mode == "rational" else 0.0
-        for asg, p in tab.items():
-            if all(asg[pos[m]] == want[m] for m in sub):
-                total += p
-        return total
+    def marginal_table(self, members, sub):
+        """{assignment on sub: probability} from one pass over the table
+        of `members`; assignments that never occur are absent."""
+        pos = {m: k for k, m in enumerate(sorted(members))}
+        idx = [pos[m] for m in sub]
+        out = {}
+        for asg, p in self.table(members).items():
+            key = tuple(asg[k] for k in idx)
+            out[key] = out[key] + p if key in out else p
+        return out
 
-    def prob(self, sub, assignment):
-        """P(assignment | sub-context) from the first maximal context
-        containing the sub-context."""
+    def prob_table(self, sub):
+        """marginal_table of sub in the first maximal context containing it."""
         sub = tuple(sub)
         for ctx in _maximal_context_tuples(self.scenario):
             if set(sub) <= set(ctx):
-                return self.marginal(ctx, sub, assignment)
+                return self.marginal_table(ctx, sub)
         raise ScenarioMismatch(f"{sub} is not inside any maximal context")
 
     def to_json(self):
@@ -291,12 +283,15 @@ class Inequality:
 def check_inequality(scenario, inequality):
     """Every term context must sit inside some maximal context and use
     valid outcome labels."""
-    ctxs = _maximal_context_tuples(scenario)
+    ctx_sets = [set(c) for c in _maximal_context_tuples(scenario)]
+    inside = set()  # term contexts already found inside a maximal context
     for members, asg, _ in inequality.terms:
         if len(members) != len(asg):
             raise ScenarioMismatch(f"term {members} has mismatched assignment {asg}")
-        if not any(set(members) <= set(c) for c in ctxs):
-            raise ScenarioMismatch(f"term context {members} not inside any maximal context")
+        if members not in inside:
+            if not any(set(members) <= c for c in ctx_sets):
+                raise ScenarioMismatch(f"term context {members} not inside any maximal context")
+            inside.add(members)
         for m, o in zip(members, asg):
             if o not in scenario.outcomes[m]:
                 raise ScenarioMismatch(f"outcome {o!r} invalid for measurement index {m}")
@@ -421,10 +416,10 @@ def validate_behavior(scenario, behavior, tol=None):
             if not shared:
                 continue
             worst = 0 if exact else 0.0
+            ta = behavior.marginal_table(ctxs[a], shared)
+            tb = behavior.marginal_table(ctxs[b], shared)
             for asg in outcome_grid(scenario, shared):
-                pa = behavior.marginal(ctxs[a], shared, asg)
-                pb = behavior.marginal(ctxs[b], shared, asg)
-                dev = abs(pa - pb)
+                dev = abs(ta[asg] - tb[asg])  # complete: every table was checked above
                 if dev > worst:
                     worst = dev
             if worst > tol:
@@ -438,10 +433,15 @@ def evaluate(inequality, behavior):
     """Value of the inequality functional on a behavior; exact in rational
     mode."""
     check_inequality(behavior.scenario, inequality)
-    total = Fraction(0) if behavior.mode == "rational" else 0.0
+    exact = behavior.mode == "rational"
+    total = Fraction(0) if exact else 0.0
+    tables = {}  # one pass over a context table per distinct sub-context
     for members, asg, coef in inequality.terms:
-        p = behavior.prob(members, asg)
-        total += (coef if behavior.mode == "rational" else float(coef)) * p
+        if members not in tables:
+            tables[members] = behavior.prob_table(members)
+        p = tables[members].get(asg)
+        if p:  # zero and absent events add nothing
+            total += (coef if exact else float(coef)) * p
     return total
 
 

@@ -151,3 +151,13 @@ def test_seesaw_failure_exits_3_without_traceback(workdir, capsys, monkeypatch):
     assert code == 3
     assert err.startswith("resource limit: seesaw lost monotonicity")
     assert "Traceback" not in err
+
+
+def test_theta_failure_exits_3_without_traceback(tmp_path, capsys):
+    gpath = tmp_path / "c5.json"
+    gpath.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+    code = main(["graph", "theta", str(gpath), "--tol", "1e-300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource limit: theta interval")
+    assert "Traceback" not in err

@@ -1,10 +1,13 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ksatlas.errors import SizeLimitExceeded
+from ksatlas.errors import ConvergenceFailure, SizeLimitExceeded
 from ksatlas.graphs import (
     Graph,
     complete_graph,
@@ -223,6 +226,89 @@ def test_contextuality_ratio_values():
     want = 7 * math.cos(math.pi / 7) / (1 + math.cos(math.pi / 7)) / 3
     assert c7.alpha == 3
     assert abs(c7.ratio_lower - want) < 1e-5
+
+
+def test_theta_unreachable_tol_raises_convergence_failure():
+    t0 = time.monotonic()
+    with pytest.raises(ConvergenceFailure, match="theta interval"):
+        lovasz_theta(cycle_graph(5), tol=1e-300)
+    assert time.monotonic() - t0 < 5.0
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 16))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), tol=st.sampled_from([1e-4, 1e-6, 1e-8]))
+def test_theta_interval_is_ordered_and_tol_wide(g, tol):
+    lo, hi = lovasz_theta(g, tol=tol)
+    assert lo <= hi
+    assert hi - lo <= tol
+
+
+def test_theta_interval_stays_ordered_below_rounding():
+    # at tol=1e-15 the gap is down to rounding; any interval returned must
+    # still be ordered (theta(K_n) = 1, theta(empty) = n)
+    for n in range(2, 12):
+        for g in (complete_graph(n), Graph(n, ())):
+            try:
+                lo, hi = lovasz_theta(g, tol=1e-15)
+            except ConvergenceFailure:
+                continue
+            assert lo <= hi, (g, lo, hi)
+
+
+def circulant(n, jumps):
+    return Graph(n, tuple((i, (i + d) % n) for i in range(n) for d in jumps))
+
+
+def kneser(n, k):
+    verts = list(itertools.combinations(range(n), k))
+    return Graph(len(verts), tuple((a, b) for a, b in itertools.combinations(range(len(verts)), 2)
+                                   if not set(verts[a]) & set(verts[b])))
+
+
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, tuple((a, b) for a, b in itertools.combinations(range(q), 2)
+                          if (b - a) % q in squares))
+
+
+@pytest.mark.parametrize("g", [cycle_graph(n) for n in range(5, 26, 2)]
+                         + [circulant(n, (1, 3)) for n in (9, 11, 13, 17)]
+                         + [kneser(6, 2), kneser(7, 2), kneser(7, 3), paley(13)],
+                         ids=lambda g: f"n{g.n}-e{len(g.edges)}")
+def test_theta_product_is_n_on_vertex_transitive_graphs(g):
+    # Lovasz 1979: theta(G) * theta(complement) = n for vertex-transitive G
+    lo, hi = lovasz_theta(g, tol=1e-6)
+    clo, chi = lovasz_theta(g.complement(), tol=1e-6)
+    assert lo * clo <= g.n <= hi * chi
+
+
+def test_theta_product_at_least_n_on_random_graphs():
+    # Lovasz 1979: theta(G) * theta(complement) >= n for every graph
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        g = random_graph(rng, n_max=20)
+        _, hi = lovasz_theta(g, tol=1e-6)
+        _, chi = lovasz_theta(g.complement(), tol=1e-6)
+        assert hi * chi >= g.n
+
+
+def test_complement_and_has_edge_agree_with_edge_list():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        g = random_graph(rng, n_max=12)
+        comp = g.complement()
+        for i, j in itertools.combinations(range(g.n), 2):
+            assert g.has_edge(i, j) == g.has_edge(j, i) == ((i, j) in g.edges)
+            assert comp.has_edge(i, j) != g.has_edge(i, j)
+        assert comp.complement() == g
 
 
 # -- exclusivity graphs ---------------------------------------------------------

@@ -156,6 +156,42 @@ def test_evaluate_is_exact_and_linear(hexagon):
             lam * evaluate(gamma, b1) + (1 - lam) * evaluate(gamma, b2))
 
 
+def test_evaluate_matches_brute_force_marginals():
+    # oracle: sum every table entry of the first maximal context that
+    # contains the term's sub-context and agrees with its assignment
+    s = build_scenario(["a", "b", "c", "d"], [2, 3, 2, 2], [(0, 1), (1, 2), (0, 2), (2, 3)])
+    ctxs = [c.members for c in maximal_contexts(s)]
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        b = uniform_behavior(s)
+        terms = []
+        for _ in range(8):
+            ctx = ctxs[int(rng.integers(len(ctxs)))]
+            sub = tuple(sorted(rng.choice(ctx, size=int(rng.integers(1, len(ctx) + 1)),
+                                          replace=False).tolist()))
+            asg = tuple(s.outcomes[m][int(rng.integers(len(s.outcomes[m])))] for m in sub)
+            terms.append((sub, asg, Fraction(int(rng.integers(-5, 6)), 3)))
+        ineq = Inequality(tuple(terms), 0)
+        want = Fraction(0)
+        for sub, asg, coef in ineq.terms:
+            ctx = next(c for c in ctxs if set(sub) <= set(c))
+            for full, p in b.table(ctx).items():
+                if all(full[ctx.index(m)] == o for m, o in zip(sub, asg)):
+                    want += coef * p
+        assert evaluate(ineq, b) == want
+        fb = Behavior(s, "float", {c: {a: float(p) for a, p in t.items()}
+                                   for c, t in b.tables.items()})
+        assert abs(evaluate(ineq, fb) - float(want)) <= 1e-12
+
+
+def test_evaluate_never_fires_a_term_with_conflicting_outcomes():
+    # the same event semantics as classical_bound, whose maximum here is 0
+    s = build_scenario(["a", "b"], [2, 2], [(0, 1)])
+    ineq = Inequality((((0, 0), (1, -1), 1),), 0)
+    for a, b in itertools.product((1, -1), repeat=2):
+        assert evaluate(ineq, deterministic_behavior(s, {0: a, 1: b})) == 0
+
+
 def test_validation_closed_under_mixtures(hexagon):
     scenario, _ = hexagon
     rng = np.random.default_rng(3)
