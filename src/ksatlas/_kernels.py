@@ -14,9 +14,16 @@ package. It is answered by bucket elimination (Dechter, Artif. Intell.
 
 A full assignment scan is the case of a single bucket; the per-party
 decomposition of a Bell scenario is the case that eliminates the largest
-party first. Tables are int64 while the absolute coefficients sum below
-2**62, which bounds every entry, and object arrays of Python ints
-otherwise, so every result is exact.
+party first.
+
+scope_tables is the one integer form of an inequality in the package.
+Its tables are int64 while the absolute coefficients sum below 2**62,
+which bounds every entry and every sum of entries, and object arrays of
+Python ints otherwise, so every result is exact. Three questions read
+it: the classical bound (best_assignment), the value of every vertex in
+a facet test, and the bound of a separating witness (both through
+polytope._vertex_values, which indexes each table with the vertices'
+outcome digits).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ USE_NUMBA = False
 
 INT64_LIMIT = 1 << 62
 
-__all__ = ["best_assignment", "decode_assignment", "term_event"]
+__all__ = ["best_assignment", "decode_assignment", "scope_tables"]
 
 
 def term_event(members, outs):
@@ -42,9 +49,19 @@ def term_event(members, outs):
     return event
 
 
-def _scope_tables(radices, terms, dtype):
-    """One table per scope (sorted measurement tuple), summing the
-    coefficients of every term on that scope."""
+def scope_tables(radices, terms):
+    """{scope: table}: one table per scope (sorted measurement tuple),
+    summing the integer coefficients of every term on that scope.
+
+    terms: iterable of (measurement index tuple, outcome index tuple,
+    int coefficient). Terms that never fire are skipped and tables that
+    are zero everywhere dropped. Tables are int64 while the absolute
+    coefficients sum below INT64_LIMIT, object arrays of Python ints
+    otherwise.
+    """
+    terms = list(terms)
+    wide = sum(abs(c) for _, _, c in terms) >= INT64_LIMIT
+    dtype = object if wide else np.int64
     tables = {}
     for members, outs, coef in terms:
         event = term_event(members, outs)
@@ -55,7 +72,7 @@ def _scope_tables(radices, terms, dtype):
         if tab is None:
             tab = tables[scope] = np.zeros([radices[m] for m in scope], dtype=dtype)
         tab[tuple(event[m] for m in scope)] += coef
-    return tables
+    return {scope: tab for scope, tab in tables.items() if np.count_nonzero(tab)}
 
 
 def _elimination_order(radices, scopes, budget):
@@ -108,10 +125,8 @@ def best_assignment(radices, terms, budget=None):
     term mentions take outcome index 0.
     """
     radices = [int(r) for r in radices]
-    terms = list(terms)
-    wide = sum(abs(c) for _, _, c in terms) >= INT64_LIMIT
-    dtype = object if wide else np.int64
-    factors = list(_scope_tables(radices, terms, dtype).items())
+    factors = list(scope_tables(radices, terms).items())
+    dtype = factors[0][1].dtype if factors else np.int64
     order = _elimination_order(radices, [s for s, _ in factors], budget)
 
     argmaxes = []

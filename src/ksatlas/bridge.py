@@ -28,7 +28,6 @@ from .errors import (
     UndersizedPart,
 )
 from .graphs import (
-    Graph,
     Partition,
     enumerate_n_partitions,
     is_complete_n_partite,
@@ -39,6 +38,7 @@ from .quantum import (
     observable_effects,
     remove_measurement,
     seesaw_max,
+    validate_model,
     verify_sic,
 )
 from .scenario import (
@@ -47,9 +47,7 @@ from .scenario import (
     build_scenario,
     correlator_decomposition,
     correlator_inequality,
-    frac,
     maximal_contexts,
-    outcome_grid,
 )
 
 __all__ = [
@@ -412,7 +410,7 @@ def _lift_once(sic_set, budget):
     partner observable of j; on the maximally entangled state each such
     term reproduces the witness correlator, so their |T|-average restores
     the witness value q (minus the constant term, which is returned
-    separately).
+    separately). Returns (scenario, inequality, local bound, constant).
     """
     _dichotomic_indices(sic_set.scenario)
     subsets, const = correlator_decomposition(sic_set.scenario, sic_set.witness)
@@ -463,38 +461,19 @@ def _lift_once(sic_set, budget):
     probe = Inequality(tuple(terms), 0, "LR", "sic-lift")
     local = classical_bound(probe, bell, budget=budget)
     lifted = Inequality(tuple(terms), local, "LR", "sic-lift")
-
-    # quantum value on the maximally entangled state:
-    # <Phi| M (x) N |Phi> = Tr(M N^T)/d, and Bob's effects are transposes
-    d = sic_set.dim
-    value = 0.0
-    for t in alice_settings:
-        c = float(subsets[t])
-        k = len(t)
-        for pos, j in enumerate(t):
-            for asg in itertools.product(*([(1, -1)] * k)):
-                partial = 1
-                for p, o in enumerate(asg):
-                    if p != pos:
-                        partial *= o
-                e_alice = np.eye(d, dtype=complex)
-                for m, o in zip(t, asg):
-                    oi = s.outcomes[m].index(o)
-                    e_alice = e_alice @ sic_set.effects[m][oi]
-                for b in (1, -1):
-                    oi = s.outcomes[j].index(b)
-                    e_bob = sic_set.effects[j][oi]
-                    p = float(np.trace(e_alice @ e_bob).real) / d
-                    value += (c / k) * partial * b * p
-    return bell, lifted, local, value, const
+    return bell, lifted, local, const
 
 
 def sic_to_bell(sic_set, budget=DEFAULT_BUDGET, sample_states=50, seed=0):
     """Lift a verified SIC set to a bipartite Bell inequality.
 
-    The local bound is computed exactly on the lifted scenario; the
-    quantum value is evaluated directly on the two-qudit maximally
-    entangled state. If the computed local bound differs from the
+    The local bound is computed exactly on the lifted scenario. The
+    quantum value is that of the two-qudit maximally entangled state,
+    where <Phi| A (x) B^T |Phi> = Tr(AB)/d: with compatible effects
+    commuting (checked first, NonCommutingContext otherwise), each lifted
+    term of a correlator subset T reads Tr(prod over T of A_m)/d, so the
+    lifted value is the witness's Tr(W)/d minus the constant term that
+    the lift drops. If the computed local bound differs from the
     witness's classical bound mu, the report carries both and flags the
     mismatch rather than hiding it. For every measurement of the embedded
     contextual subset, the lift is rebuilt without it and the residual
@@ -502,13 +481,15 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET, sample_states=50, seed=0):
     """
     if sic_set.dim > 8:
         raise DimensionTooLarge("the desk-scale lift supports dimension <= 8")
+    validate_model(sic_set.model(), sic_set.scenario)
     rep = verify_sic(sic_set, sample_states=sample_states, seed=seed)
     if not rep.is_sic:
         raise SicVerificationFailed(
             f"not a SIC set: min witness value {rep.min_eigenvalue} "
             f"vs bound {sic_set.mu}")
 
-    bell, lifted, local, value, const = _lift_once(sic_set, budget)
+    bell, lifted, local, const = _lift_once(sic_set, budget)
+    value = rep.q_estimate - float(const)
     violation = value - float(local)
 
     removals = []
@@ -519,9 +500,9 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET, sample_states=50, seed=0):
         if not reduced.witness.terms:
             removals.append((sic_set.scenario.measurements[m], 0.0))
             continue
-        _, _, local_r, value_r, _ = _lift_once(reduced, budget)
-        removals.append(
-            (sic_set.scenario.measurements[m], value_r - float(local_r)))
+        _, _, local_r, const_r = _lift_once(reduced, budget)
+        removals.append((sic_set.scenario.measurements[m],
+                         reduced.q - float(const_r) - float(local_r)))
 
     return SicBellReport(
         scenario=bell,

@@ -119,12 +119,6 @@ class Partition:
         """Indices of parts with fewer than two vertices."""
         return [k for k, p in enumerate(self.parts) if len(p) < 2]
 
-    def part_of(self, v):
-        for k, p in enumerate(self.parts):
-            if v in p:
-                return k
-        raise KeyError(v)
-
     def to_json(self):
         return {"parts": [list(p) for p in self.parts]}
 

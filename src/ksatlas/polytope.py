@@ -2,9 +2,13 @@
 
 Vertices are the behaviors of global deterministic assignments. All
 verdicts (classical bounds, membership, facet tightness) are exact.
-Classical bounds take one path: the inequality's coefficients are scaled
-to integers and maximized by variable elimination (see _kernels), which
-is exact on int64 tables and on Python ints when those could overflow.
+An inequality has one integer form: its coefficients scaled to integers
+over their common denominator and summed into one table per scope by
+_kernels.scope_tables (int64 tables, or Python ints when those could
+overflow). Three questions read that form: classical_bound maximizes it
+by variable elimination, tightness_test takes every vertex's value as
+the sum of the tables at the vertex's outcome digits, and
+membership_test bounds its separating witness the same way.
 """
 
 from __future__ import annotations
@@ -12,18 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import INT64_LIMIT, best_assignment, term_event
+from ._kernels import best_assignment, scope_tables
 from .errors import BudgetExceeded, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
     Inequality,
     check_inequality,
-    evaluate,
     frac,
     maximal_contexts,
     outcome_grid,
@@ -67,12 +69,6 @@ class Layout:
             for ctx, grid in zip(self.contexts, self.grids)
             for asg in grid
         ]
-        self._pos = [
-            {asg: k for k, asg in enumerate(grid)} for grid in self.grids
-        ]
-
-    def coord_index(self, ctx_i, assignment):
-        return self.offsets[ctx_i] + self._pos[ctx_i][tuple(assignment)]
 
     def behavior_coords(self, behavior):
         vec = []
@@ -100,6 +96,7 @@ class PolytopeDescription:
     layout: Layout
     coords: np.ndarray          # (N, D) uint8, one row per vertex
     assignment_index: np.ndarray  # the assignment realizing each vertex
+    digits: list                # per measurement, its outcome index at each vertex
 
     @property
     def n_vertices(self):
@@ -199,7 +196,7 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
             s *= radices[m]
         coords[idx, pos] = 1
 
-    return PolytopeDescription(scenario, layout, coords, idx)
+    return PolytopeDescription(scenario, layout, coords, idx, digits)
 
 
 def _int_terms(scenario, inequality):
@@ -208,9 +205,7 @@ def _int_terms(scenario, inequality):
     label_pos = [
         {o: k for k, o in enumerate(outs)} for outs in scenario.outcomes
     ]
-    denom = 1
-    for _, _, coef in inequality.terms:
-        denom = denom * coef.denominator // math.gcd(denom, coef.denominator)
+    denom = math.lcm(*(coef.denominator for _, _, coef in inequality.terms))
     terms = []
     for members, asg, coef in inequality.terms:
         terms.append((
@@ -219,14 +214,6 @@ def _int_terms(scenario, inequality):
             int(coef * denom),
         ))
     return terms, denom
-
-
-def _merge_terms(terms):
-    """Coalesce identical (members, outcome-index) events."""
-    acc = {}
-    for members, outs, c in terms:
-        acc[(members, outs)] = acc.get((members, outs), 0) + c
-    return [(m, o, c) for (m, o), c in acc.items() if c]
 
 
 def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
@@ -239,43 +226,21 @@ def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
     """
     check_inequality(scenario, inequality)
     terms, denom = _int_terms(scenario, inequality)
-    terms = _merge_terms(terms)
-    if not terms:
-        return Fraction(0)
     radices, _ = _assignment_space(scenario)
     best, _ = best_assignment(radices, terms, budget)
     return Fraction(best, denom)
 
 
 def _vertex_values(desc, inequality):
-    """Exact inequality value for every enumerated vertex: one integer
-    product of the coordinate rows with the scaled coefficients."""
+    """Exact scaled inequality value of every enumerated vertex, the sum
+    of its scope tables at the vertex's outcome digits; returns
+    (values, denominator)."""
     terms, denom = _int_terms(desc.scenario, inequality)
-    layout = desc.layout
-    weights = [0] * layout.size
-    for members, out_idx, c in terms:
-        event = term_event(members, out_idx)
-        if event is None:
-            continue
-        ctx_i = next(k for k, ctx in enumerate(layout.contexts)
-                     if set(event) <= set(ctx))
-        # distribute the sub-context event over the containing table
-        ctx = layout.contexts[ctx_i]
-        want = [(ctx.index(m), desc.scenario.outcomes[m][oi])
-                for m, oi in event.items()]
-        for k, asg in enumerate(layout.grids[ctx_i]):
-            if all(asg[pos] == o for pos, o in want):
-                weights[layout.offsets[ctx_i] + k] += c
-    return _int_products(desc.coords, weights), denom
-
-
-def _int_products(coords, weights):
-    """coords @ weights exactly: int64 while the absolute weights sum
-    below INT64_LIMIT (each 0/1 row then stays inside int64), Python
-    ints otherwise."""
-    if sum(abs(w) for w in weights) < INT64_LIMIT:
-        return coords.astype(np.int64) @ np.array(weights, dtype=np.int64)
-    return coords.astype(object) @ np.array(weights, dtype=object)
+    radices, _ = _assignment_space(desc.scenario)
+    vals = np.zeros(desc.n_vertices, dtype=np.int64)
+    for scope, tab in scope_tables(radices, terms).items():
+        vals = vals + tab[tuple(desc.digits[m] for m in scope)]
+    return vals, denom
 
 
 def polytope_dimension(scenario, budget=DEFAULT_BUDGET):
@@ -389,7 +354,7 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     (default 1e-9) around each coordinate, which makes the verdict
     approximate in the documented sense. Non-members come with an exact
     separating inequality respected by every vertex and strictly violated
-    by the behavior.
+    by every behavior within tol of the (rationalized) behavior.
     """
     report = validate_behavior(scenario, behavior,
                                tol=None if behavior.mode == "rational" else (tol or 1e-9))
@@ -410,25 +375,17 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
         weights = {i: res.x[i] for i in range(desc.n_vertices) if res.x[i] != 0}
         return MembershipResult(True, weights=weights)
 
-    if tol != 0:
-        rows, rhs = _membership_lp(desc.coords, b, Fraction(0))
-        res = solve_feasibility(rows, rhs)
-        if res.feasible:
-            # inside exactly but the slack system failed: cannot happen
-            # (slack system is a relaxation); defensive fallback
-            weights = {i: res.x[i] for i in range(desc.n_vertices) if res.x[i] != 0}
-            return MembershipResult(True, weights=weights)
-
-    y = res.certificate
-    coefs = y[: layout.size]
-    denom = math.lcm(*(c.denominator for c in coefs))
-    vert_vals = _int_products(desc.coords, [int(c * denom) for c in coefs])
-    bound = Fraction(int(vert_vals.max()), denom)
+    # the slack columns force y_cap <= 0 and |y_i| <= -y_cap_i, so y.b > 0
+    # puts b past every vertex by more than tol * sum |y_i|: y[:D] separates
+    # every behavior within tol of b strictly
+    coefs = res.certificate[: layout.size]
     value = sum(c * b[i] for i, c in enumerate(coefs) if c)
     terms = tuple(
         (layout.pairs[i][0], layout.pairs[i][1], coefs[i])
         for i in range(layout.size)
         if coefs[i] != 0
     )
+    vals, denom = _vertex_values(desc, Inequality(terms, 0))
+    bound = Fraction(int(vals.max()), denom)
     witness = Inequality(terms, bound, kind="NCHV", label="separating-witness")
     return MembershipResult(False, witness=witness, witness_value=value)

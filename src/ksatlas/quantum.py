@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     NotAPOVM,
     NotDichotomic,
     RankDeficiencyAmbiguous,
-    ScenarioMismatch,
 )
 from .scenario import (
     Behavior,
@@ -68,11 +67,6 @@ def herm(a):
 def eigh_sorted(a):
     """Ascending eigendecomposition of the Hermitian part."""
     return np.linalg.eigh(herm(a))
-
-
-def psd_sqrt(a):
-    vals, vecs = eigh_sorted(a)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def polar_sign(a):
@@ -229,7 +223,7 @@ class DilationResult:
         return float(np.linalg.norm(w[off:off + r]) ** 2)
 
 
-def neumark_dilation(effects, method="rank-block", atol=ATOL):
+def neumark_dilation(effects, atol=ATOL):
     """Dilate a POVM to a projective measurement on dimension sum-of-ranks.
 
     Row k of the isometry block for effect E is sqrt(lam) v^dagger over
@@ -238,8 +232,6 @@ def neumark_dilation(effects, method="rank-block", atol=ATOL):
     to the largest one raise RankDeficiencyAmbiguous rather than silently
     choosing a rank.
     """
-    if method != "rank-block":
-        raise ValueError(f"unknown dilation method {method!r}")
     effects = [np.asarray(e, dtype=complex) for e in effects]
     d = effects[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
@@ -433,7 +425,8 @@ class SICSet:
     effects: tuple               # per measurement, per outcome effects
     witness: Inequality
     mu: Fraction                 # classical (NCHV) bound of the witness
-    q: float                     # claimed state-independent quantum value
+    q: float                     # state-independent quantum value Tr(W)/d,
+                                 # checked by verify_sic
     embedded: tuple | None = None  # contextual subset driving the Bell lift
                                    # (None means the whole set)
 
@@ -524,7 +517,8 @@ def verify_sic(sic_set, sample_states=100, seed=0):
     operator from a scalar multiple of the identity, and its minimum
     eigenvalue (the exact minimum of the witness value over states). The
     verdict requires the minimum over states to strictly exceed the
-    classical bound.
+    classical bound. A stored q that differs from Tr(W)/d by more than
+    1e-9 raises InvalidSet.
     """
     if sic_set.dim < 3:
         raise InvalidSet("state-independent witness sets need dimension >= 3")
@@ -533,6 +527,8 @@ def verify_sic(sic_set, sample_states=100, seed=0):
     w = witness_operator(sic_set)
     d = sic_set.dim
     q_est = float(np.trace(w).real) / d
+    if abs(sic_set.q - q_est) > 1e-9:
+        raise InvalidSet(f"stored q {sic_set.q} differs from Tr(W)/d = {q_est}")
     dev = float(np.linalg.norm(w - q_est * np.eye(d)))
     vals = np.linalg.eigvalsh(w)
     lam_min = float(vals[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from ksatlas.bridge import (
     sic_to_bell,
 )
 from ksatlas.errors import (
+    NonCommutingContext,
     NotABellScenario,
     InvalidPartition,
     TooSmall,
@@ -23,8 +25,13 @@ from ksatlas.errors import (
 )
 from ksatlas.graphs import Partition
 from ksatlas.polytope import classical_bound, tightness_test
-from ksatlas.quantum import remove_measurement
-from ksatlas.scenario import build_scenario, correlator_decomposition, correlator_inequality
+from ksatlas.quantum import QuantumModel, quantum_behavior, remove_measurement
+from ksatlas.scenario import (
+    build_scenario,
+    correlator_decomposition,
+    correlator_inequality,
+    evaluate,
+)
 
 
 def brute_cycle_bound(n):
@@ -240,3 +247,52 @@ def test_sic_to_bell_rejects_broken_set(pm):
     broken = remove_measurement(pm, 4)
     with pytest.raises(SicVerificationFailed):
         sic_to_bell(broken)
+
+
+def maximally_entangled_lift_model(sic, bell):
+    """Oracle: the lifted Bell scenario realized on |Phi> = sum_i |ii>/sqrt(d).
+
+    Alice's setting A(m1&m2&...) has the joint effects prod_m E_m(o_m) (x) I,
+    Bob's setting B(m) the effects I (x) E_m(b)^T; settings are matched to
+    the SIC measurements by name only.
+    """
+    d = sic.dim
+    eye = np.eye(d, dtype=complex)
+    index = {mid: k for k, mid in enumerate(sic.scenario.measurements)}
+
+    def effect(m, o):
+        return sic.effects[m][sic.scenario.outcomes[m].index(o)]
+
+    effects = []
+    for mid, outs in zip(bell.measurements, bell.outcomes):
+        names = mid[2:-1].split("&")
+        if mid.startswith("A("):
+            members = [index[x] for x in names]
+            joint = []
+            for label in outs:
+                op = eye
+                for m, sign in zip(members, label):
+                    op = op @ effect(m, 1 if sign == "+" else -1)
+                joint.append(np.kron(op, eye))
+            effects.append(tuple(joint))
+        else:
+            (m,) = [index[x] for x in names]
+            effects.append(tuple(np.kron(eye, effect(m, b).T) for b in outs))
+    phi = np.eye(d, dtype=complex).reshape(d * d) / math.sqrt(d)
+    return QuantumModel(d * d, phi, tuple(effects))
+
+
+def test_pm_lift_value_matches_the_entangled_model(pm):
+    rep = sic_to_bell(dataclasses.replace(pm, embedded=(0,)))
+    model = maximally_entangled_lift_model(pm, rep.scenario)
+    value = evaluate(rep.inequality, quantum_behavior(model, rep.scenario))
+    assert abs(value - rep.quantum_value) < 1e-9
+
+
+def test_lift_rejects_noncommuting_compatible_effects(pm):
+    # A11 = Z (x) I replaced by X (x) I (the effects of A22): the
+    # compatibility graph still joins A11 to A13 = Z (x) Z, which X (x) I
+    # does not commute with
+    effects = (pm.effects[4],) + tuple(pm.effects[1:])
+    with pytest.raises(NonCommutingContext):
+        sic_to_bell(dataclasses.replace(pm, effects=effects))

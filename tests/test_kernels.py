@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksatlas._kernels import best_assignment, decode_assignment
+from ksatlas._kernels import best_assignment, decode_assignment, scope_tables
 from ksatlas.errors import BudgetExceeded
 
 
@@ -89,6 +89,16 @@ def test_unmentioned_measurements_take_outcome_zero():
     best, index = best_assignment([3, 2, 3], [((1,), (1,), 5)])
     assert best == 5 and decode_assignment(index, [3, 2, 3]) == [0, 1, 0]
     assert best_assignment([2, 2], []) == (0, 0)
+
+
+def test_scope_tables_drop_zero_tables_and_widen_past_int64():
+    # the same event written in two member orders cancels to a zero table
+    cancel = [((0, 1), (1, 0), 2), ((1, 0), (0, 1), -2)]
+    narrow = scope_tables([2, 2], cancel + [((1,), (1,), 5)])
+    assert list(narrow) == [(1,)] and narrow[(1,)].dtype == np.int64
+    wide = scope_tables([2, 2], cancel + [((1,), (1,), 1 << 62)])
+    assert list(wide) == [(1,)] and wide[(1,)].dtype == object
+    assert wide[(1,)].tolist() == [0, 1 << 62]
 
 
 def test_repeated_measurement_in_a_term():

@@ -382,6 +382,77 @@ def test_float_mode_membership_is_tolerant(chsh):
     assert membership_test(noisy, scenario, tol=1e-9).member
 
 
+def test_float_mode_non_member_gets_a_strict_witness(chsh):
+    # 0.9 PR box + 0.1 uniform noise: CHSH value 3.6 > 2, entries that
+    # floats cannot hold exactly, so the slack system (tol 1e-9) decides
+    scenario, ineq = chsh
+    tables = {}
+    for ctx in (c.members for c in maximal_contexts(scenario)):
+        anti = ctx == (1, 3)
+        tables[ctx] = {
+            (a, b): 0.475 if (a == b) != anti else 0.025
+            for a, b in itertools.product((1, -1), repeat=2)
+        }
+    beh = Behavior(scenario, "float", tables)
+    assert evaluate(ineq, beh) > 3.5
+    res = membership_test(beh, scenario)
+    assert not res.member
+    desc = enumerate_vertices(scenario)
+    bound = res.witness.bound
+    assert max(evaluate(res.witness, desc.vertex_behavior(i))
+               for i in range(desc.n_vertices)) == bound
+    # strict for every behavior within tol of the rationalized one
+    slack = F(1e-9) * sum(abs(c) for _, _, c in res.witness.terms)
+    assert res.witness_value - slack > bound
+    assert abs(evaluate(res.witness, beh) - float(res.witness_value)) < 1e-12
+
+
+@st.composite
+def shared_form_cases(draw):
+    """Mixed radices 2-4, a random compatibility graph and terms on
+    sub-contexts (each scope repeated, once permuted), one term naming a
+    measurement twice, coefficients small, fractional and past 2**62."""
+    n = draw(st.integers(2, 4))
+    radices = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    s = build_scenario([f"m{i}" for i in range(n)], radices, edges)
+    contexts = [c.members for c in maximal_contexts(s)]
+    coef = st.one_of(
+        st.integers(-6, 6),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+        st.integers(1, 9).map(lambda k: k << 62),
+        st.integers(-(1 << 70), 1 << 70),
+    )
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        ctx = draw(st.sampled_from(contexts))
+        sub = draw(st.lists(st.sampled_from(ctx), min_size=1, max_size=len(ctx),
+                            unique=True))
+        for order in (sorted(sub), sorted(sub, reverse=True)):
+            asg = tuple(draw(st.sampled_from(s.outcomes[m])) for m in order)
+            terms.append((tuple(order), asg, draw(coef)))
+    m = draw(st.integers(0, n - 1))
+    twice = tuple(draw(st.sampled_from(s.outcomes[m])) for _ in range(2))
+    terms.append(((m, m), twice, draw(coef)))
+    return s, tuple(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_form_cases())
+def test_tightness_and_bound_read_one_integer_form(case):
+    # the elimination oracle and the vertex values share one integer
+    # form: both must agree with brute-force evaluate on every vertex
+    s, terms = case
+    bound = classical_bound(Inequality(terms, 0), s)
+    ineq = Inequality(terms, bound)
+    desc = enumerate_vertices(s)
+    values = [evaluate(ineq, desc.vertex_behavior(i)) for i in range(desc.n_vertices)]
+    rep = tightness_test(ineq, s)
+    assert rep.classical_bound == bound == max(values)
+    assert rep.saturating_vertices == values.count(bound)
+
+
 def test_membership_grid_search_agreement():
     # tiny scenario: exhaustive grid over vertex weights agrees with the LP
     s = build_scenario(["a", "b"], [2, 2], [(0, 1)])

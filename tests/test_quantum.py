@@ -266,6 +266,14 @@ def test_pm_with_redundant_duplicate_is_not_critical(pm):
     assert breaks[:9] == [True] * 9 and breaks[9] is False
 
 
+def test_stored_q_must_match_the_witness_trace(pm):
+    # q arrives unchecked from JSON; Tr(W)/d of the PM witness is 6
+    wrong = SICSet.from_json({**pm.to_json(), "q": 5})
+    with pytest.raises(InvalidSet):
+        verify_sic(wrong)
+    assert verify_sic(SICSet.from_json(pm.to_json())).is_sic
+
+
 def test_reduced_pm_set_is_state_dependent(pm):
     reduced = remove_measurement(pm, 0)
     rep = verify_sic(reduced)
