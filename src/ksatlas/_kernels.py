@@ -19,11 +19,11 @@ party first.
 scope_tables is the one integer form of an inequality in the package.
 Its tables are int64 while the absolute coefficients sum below 2**62,
 which bounds every entry and every sum of entries, and object arrays of
-Python ints otherwise, so every result is exact. Three questions read
-it: the classical bound (best_assignment), the value of every vertex in
-a facet test, and the bound of a separating witness (both through
-polytope._vertex_values, which indexes each table with the vertices'
-outcome digits).
+Python ints otherwise, so every result is exact. Two questions read it:
+the classical bound (best_assignment), which is also the bound of a
+membership test's separating witness, and the value of every vertex in
+a facet test (polytope.tightness_test indexes each table with the
+vertices' outcome digits).
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
 """Exact geometry of the non-contextual / local polytope.
 
 Vertices are the behaviors of global deterministic assignments. All
-verdicts (classical bounds, membership, facet tightness) are exact.
-An inequality has one integer form: its coefficients scaled to integers
-over their common denominator and summed into one table per scope by
-_kernels.scope_tables (int64 tables, or Python ints when those could
-overflow). Three questions read that form: classical_bound maximizes it
-by variable elimination, tightness_test takes every vertex's value as
-the sum of the tables at the vertex's outcome digits, and
-membership_test bounds its separating witness the same way.
+verdicts (classical bounds, membership, facet tightness) are exact, and
+each fact has one path. The polytope's dimension is a closed form read
+from the scenario (polytope_dimension). An inequality has one integer
+form, one table per scope from _kernels.scope_tables: classical_bound
+maximizes it by variable elimination, which also bounds membership_test's
+separating witness, and tightness_test sums the tables at every vertex's
+outcome digits. The exact rank runs only on a face's saturating vertices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -71,31 +71,21 @@ class Layout:
         ]
 
     def behavior_coords(self, behavior):
-        vec = []
-        for ctx, grid in zip(self.contexts, self.grids):
-            tab = behavior.table(ctx)
-            for asg in grid:
-                v = tab[asg]
-                vec.append(v if isinstance(v, Fraction) else frac(v))
-        return vec
+        return [frac(behavior.table(ctx)[asg]) for ctx, asg in self.pairs]
 
-    def behavior_from_row(self, row, mode="rational"):
+    def behavior_from_row(self, row):
         tables = {}
         for ctx, grid, off in zip(self.contexts, self.grids, self.offsets):
-            tab = {}
-            for k, asg in enumerate(grid):
-                v = row[off + k]
-                tab[asg] = Fraction(int(v)) if mode == "rational" else float(v)
-            tables[ctx] = tab
-        return Behavior(self.scenario, mode, tables)
+            tables[ctx] = {asg: Fraction(int(row[off + k]))
+                           for k, asg in enumerate(grid)}
+        return Behavior(self.scenario, "rational", tables)
 
 
 @dataclass
 class PolytopeDescription:
     scenario: object
     layout: Layout
-    coords: np.ndarray          # (N, D) uint8, one row per vertex
-    assignment_index: np.ndarray  # the assignment realizing each vertex
+    coords: np.ndarray          # (N, D) uint8, row i: assignment i's vertex
     digits: list                # per measurement, its outcome index at each vertex
 
     @property
@@ -105,13 +95,9 @@ class PolytopeDescription:
     def vertex_behavior(self, i):
         return self.layout.behavior_from_row(self.coords[i])
 
-    _dim_cache: int | None = field(default=None, repr=False)
-
     @property
     def dimension(self):
-        if self._dim_cache is None:
-            self._dim_cache = _affine_rank(self.coords)
-        return self._dim_cache
+        return polytope_dimension(self.scenario)
 
 
 @dataclass(frozen=True)
@@ -153,10 +139,7 @@ class MembershipResult:
 
 def _assignment_space(scenario):
     radices = [len(o) for o in scenario.outcomes]
-    total = 1
-    for r in radices:
-        total *= r
-    return radices, total
+    return radices, math.prod(radices)
 
 
 def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
@@ -167,13 +150,16 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
     (isolated ones in a singleton), so a vertex's coordinates determine
     its assignment and no deduplication is needed.
     """
-    layout = Layout(scenario)
     radices, total = _assignment_space(scenario)
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget}")
-    if total * layout.size > MEMORY_BUDGET:
+    # D from the contexts alone: Layout, which builds every grid, comes after
+    size = sum(math.prod(radices[m] for m in c.members)
+               for c in maximal_contexts(scenario))
+    if total * size > MEMORY_BUDGET:
         raise BudgetExceeded(
-            f"{total} x {layout.size} coordinate entries exceed the memory budget")
+            f"{total} x {size} coordinate entries exceed the memory budget")
+    layout = Layout(scenario)
 
     # one digit vector per measurement, in the smallest dtype that holds
     # it, so no total x n_meas int64 matrix is ever built
@@ -196,7 +182,7 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
             s *= radices[m]
         coords[idx, pos] = 1
 
-    return PolytopeDescription(scenario, layout, coords, idx, digits)
+    return PolytopeDescription(scenario, layout, coords, digits)
 
 
 def _int_terms(scenario, inequality):
@@ -231,21 +217,24 @@ def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
     return Fraction(best, denom)
 
 
-def _vertex_values(desc, inequality):
-    """Exact scaled inequality value of every enumerated vertex, the sum
-    of its scope tables at the vertex's outcome digits; returns
-    (values, denominator)."""
-    terms, denom = _int_terms(desc.scenario, inequality)
-    radices, _ = _assignment_space(desc.scenario)
-    vals = np.zeros(desc.n_vertices, dtype=np.int64)
-    for scope, tab in scope_tables(radices, terms).items():
-        vals = vals + tab[tuple(desc.digits[m] for m in scope)]
-    return vals, denom
+def polytope_dimension(scenario):
+    """Affine dimension of the polytope in closed form: the sum over the
+    nonempty cliques C of the compatibility graph of prod_{m in C} (o_m - 1).
 
-
-def polytope_dimension(scenario, budget=DEFAULT_BUDGET):
-    """Affine dimension of the vertex set, by fraction-free rank."""
-    return enumerate_vertices(scenario, budget=budget).dimension
+    Linear functionals on the vertices are the functions of the assignment
+    that sum functions of one maximal context each. Taking the constant and
+    o_m - 1 outcome indicators as the basis for measurement m, their
+    products over clique subsets (the clique monomials, the Collins-Gisin
+    coordinates: J. Phys. A 37, 1775, 2004) are a basis of that span. The
+    constant is in it, since each context's indicators sum to one, so the
+    affine dimension counts the nonempty monomials. No vertex is built.
+    """
+    cliques = set()
+    for ctx in maximal_contexts(scenario):
+        for k in range(1, len(ctx.members) + 1):
+            cliques.update(itertools.combinations(ctx.members, k))
+    return sum(math.prod(len(scenario.outcomes[m]) - 1 for m in c)
+               for c in cliques)
 
 
 def int_rank(rows):
@@ -307,9 +296,14 @@ def tightness_test(inequality, scenario, budget=DEFAULT_BUDGET):
     """Facet verdict for the inequality at its stored bound, all exact."""
     check_inequality(scenario, inequality)
     desc = enumerate_vertices(scenario, budget=budget)
-    vals, denom = _vertex_values(desc, inequality)
+    poly_dim = polytope_dimension(scenario)  # admitted: walks at most D subsets
+    # every vertex's exact scaled value: its scope tables at its outcome digits
+    terms, denom = _int_terms(scenario, inequality)
+    radices, _ = _assignment_space(scenario)
+    vals = np.zeros(desc.n_vertices, dtype=np.int64)
+    for scope, tab in scope_tables(radices, terms).items():
+        vals = vals + tab[tuple(desc.digits[m] for m in scope)]
     max_val = Fraction(int(vals.max()), denom)
-    poly_dim = desc.dimension
 
     if max_val > inequality.bound:
         return TightnessReport("violated-by-vertex", max_val, 0, -1, poly_dim)
@@ -385,7 +379,7 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
         for i in range(layout.size)
         if coefs[i] != 0
     )
-    vals, denom = _vertex_values(desc, Inequality(terms, 0))
-    bound = Fraction(int(vals.max()), denom)
+    # within budget: no elimination table exceeds the admitted assignment count
+    bound = classical_bound(Inequality(terms, 0), scenario, budget=budget)
     witness = Inequality(terms, bound, kind="NCHV", label="separating-witness")
     return MembershipResult(False, witness=witness, witness_value=value)

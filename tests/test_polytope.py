@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ksatlas.bridge import n_cycle
 from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated
 from ksatlas.polytope import (
+    DEFAULT_BUDGET,
     Layout,
     _affine_rank,
     classical_bound,
@@ -94,18 +95,33 @@ def test_chsh_sixteen_vertices_dim8(chsh):
     ([8, 8, 5], [(0, 1), (1, 2), (0, 2)]),  # table positions past 255
 ])
 def test_rows_follow_first_realizing_assignment(radices, edges):
-    # mixed radices: row order, rows and assignment_index match the
-    # first-occurrence scan of the brute-force oracle exactly
+    # mixed radices: row order and rows match the first-occurrence scan
+    # of the brute-force oracle exactly, so row i is assignment i's vertex
     s = build_scenario([f"m{i}" for i in range(len(radices))], radices, edges)
     desc = enumerate_vertices(s)
     assert desc.coords.tolist() == brute_vertices(s)
-    assert desc.assignment_index.tolist() == list(range(int(np.prod(radices))))
 
 
 def test_budget_is_enforced():
     s = build_scenario([f"m{i}" for i in range(8)], [2] * 8, [])
     with pytest.raises(BudgetExceeded):
         enumerate_vertices(s, budget=100)
+
+
+@pytest.mark.parametrize("budget", [1000, DEFAULT_BUDGET])
+def test_budgets_are_checked_before_the_grids_are_built(monkeypatch, budget):
+    # K20 of dichotomic measurements: 2^20 assignments exceed a budget of
+    # 1000, and at the default budget 2^20 x 2^20 coordinate entries exceed
+    # the memory budget; both refusals come before Layout builds the grid
+    s = build_scenario([f"m{i}" for i in range(20)], [2] * 20,
+                       list(itertools.combinations(range(20), 2)))
+
+    def no_layout(scenario):
+        raise AssertionError("Layout built before the budget checks")
+
+    monkeypatch.setattr("ksatlas.polytope.Layout", no_layout)
+    with pytest.raises(BudgetExceeded):
+        enumerate_vertices(s, budget=budget)
 
 
 def test_vertex_behaviors_are_valid(hexagon):
@@ -174,6 +190,32 @@ def test_affine_rank_matches_float_rank_on_cycles(n):
     for rows in subsets:
         diffs = rows[1:].astype(float) - rows[0]
         assert _affine_rank(rows) == np.linalg.matrix_rank(diffs)
+
+
+@st.composite
+def small_scenarios(draw, max_coords=120):
+    """1-7 measurements with 2-4 outcomes and a random compatibility graph
+    (isolated measurements allowed); edges are dropped from the end until
+    the coordinate count is at most max_coords."""
+    n = draw(st.integers(1, 7))
+    radices = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    while True:
+        s = build_scenario([f"m{i}" for i in range(n)], radices, edges)
+        size = sum(int(np.prod([radices[m] for m in c.members]))
+                   for c in maximal_contexts(s))
+        if size <= max_coords:
+            return s
+        edges = edges[:-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_closed_form_dimension_matches_vertex_rank(s):
+    coords = enumerate_vertices(s).coords
+    diffs = coords[1:].astype(float) - coords[0]
+    assert polytope_dimension(s) == _affine_rank(coords) == np.linalg.matrix_rank(diffs)
 
 
 # -- classical bounds -------------------------------------------------------------
