@@ -9,8 +9,8 @@ package. It is answered by bucket elimination (Dechter, Artif. Intell.
 - variables are eliminated in a greedy min-fill order over the term
   hypergraph;
 - eliminating a variable broadcast-adds the tables that mention it and
-  keeps the max, and the argmax, along its axis;
-- the argmax tables, decoded in reverse order, give a maximizer.
+  passes on the max along its axis;
+- the elimination tables, walked in reverse order, give every maximizer.
 
 A full assignment scan is the case of a single bucket; the per-party
 decomposition of a Bell scenario is the case that eliminates the largest
@@ -19,14 +19,15 @@ party first.
 scope_tables is the one integer form of an inequality in the package.
 Its tables are int64 while the absolute coefficients sum below 2**62,
 which bounds every entry and every sum of entries, and object arrays of
-Python ints otherwise, so every result is exact. Two questions read it:
-the classical bound (best_assignment), which is also the bound of a
-membership test's separating witness, and the value of every vertex in
-a facet test (polytope.tightness_test indexes each table with the
-vertices' outcome digits).
+Python ints otherwise, so every result is exact. One elimination of it
+answers the classical bound (best_assignment), which is also the bound
+of a membership test's separating witness, and a facet test's bound and
+face (polytope.tightness_test reads maximizers).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,7 +38,7 @@ USE_NUMBA = False
 
 INT64_LIMIT = 1 << 62
 
-__all__ = ["best_assignment", "decode_assignment", "scope_tables"]
+__all__ = ["best_assignment", "maximizers", "scope_tables"]
 
 
 def term_event(members, outs):
@@ -121,15 +122,15 @@ def best_assignment(radices, terms, budget=None):
     (measurement index tuple, outcome index tuple, int coefficient).
     budget caps the entries of the largest elimination table (None: no
     cap); with a single bucket that is the assignment count. Returns
-    (best value, mixed-radix index of a maximizer); measurements that no
-    term mentions take outcome index 0.
+    (best value, elimination): (variable, scope, table) per eliminated
+    variable, in order, the table summing the factors that mention it.
     """
     radices = [int(r) for r in radices]
     factors = list(scope_tables(radices, terms).items())
     dtype = factors[0][1].dtype if factors else np.int64
     order = _elimination_order(radices, [s for s, _ in factors], budget)
 
-    argmaxes = []
+    elimination = []
     for v, rest in order:
         scope = tuple(sorted(rest + (v,)))
         total = np.zeros([radices[u] for u in scope], dtype=dtype)
@@ -139,26 +140,40 @@ def best_assignment(radices, terms, budget=None):
                 total += tab.reshape([radices[u] if u in fscope else 1 for u in scope])
             else:
                 kept.append((fscope, tab))
-        axis = scope.index(v)
-        arg = total.argmax(axis=axis).astype(np.min_scalar_type(radices[v] - 1))
-        kept.append((rest, total.max(axis=axis)))
+        kept.append((rest, total.max(axis=scope.index(v))))
         factors = kept
-        argmaxes.append((v, rest, arg))
-
-    best = sum(int(tab) for _, tab in factors)
-    digits = [0] * len(radices)
-    for v, rest, arg in reversed(argmaxes):
-        digits[v] = int(arg[tuple(digits[u] for u in rest)])
-    index = 0
-    for d, r in zip(digits, radices):
-        index = index * r + d
-    return best, index
+        elimination.append((v, scope, total))
+    return sum(int(tab) for _, tab in factors), elimination
 
 
-def decode_assignment(index, radices):
-    """Mixed-radix digits of an assignment index (last digit fastest)."""
-    digits = []
-    for r in reversed(radices):
-        digits.append(index % r)
-        index //= r
-    return list(reversed(digits))
+def maximizers(radices, elimination, limit=None):
+    """Every maximizing assignment of an elimination, as one outcome-index
+    array per measurement.
+
+    Measurements no table mentions take every outcome, in mixed-radix
+    order (with no elimination: all assignments in index order). The
+    tables, walked in reverse order, keep each outcome that attains the
+    max given the neighbors' outcomes. Every such choice extends to an
+    optimum, so the count never falls; BudgetExceeded is raised as soon as
+    it passes limit (None: no cap).
+    """
+    eliminated = {v for v, _, _ in elimination}
+    free = [m for m in range(len(radices)) if m not in eliminated]
+    spread = math.prod(radices[m] for m in free)
+    if limit is not None and spread > limit:
+        raise BudgetExceeded(f"at least {spread} maximizers exceed the face limit {limit}")
+    # a free measurement ties on all its outcomes, as on a zero table
+    steps = [(m, (m,), np.zeros(radices[m], np.int8)) for m in free]
+    digits, count = {}, 1
+    for v, scope, total in steps + elimination[::-1]:
+        index = tuple(np.arange(radices[v]) if u == v else digits[u][:, None]
+                      for u in scope)
+        vals = np.broadcast_to(total[index], (count, radices[v]))
+        ties = vals == vals.max(axis=1, keepdims=True)
+        count = int(np.count_nonzero(ties))
+        if limit is not None and count > limit:
+            raise BudgetExceeded(f"at least {count} maximizers exceed the face limit {limit}")
+        rows, outs = np.nonzero(ties)
+        digits = {u: d[rows] for u, d in digits.items()}
+        digits[v] = outs.astype(np.min_scalar_type(radices[v] - 1))
+    return [digits[m] for m in range(len(radices))]

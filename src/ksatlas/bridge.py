@@ -139,8 +139,8 @@ def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
     """Identity lift: a Bell inequality read as a KS non-contextuality
     inequality on the scenario with the same measurements, outcomes and
     compatibility. Both sides share terms, scenario and bound, so one
-    tightness test gives the verdict and, as its vertex maximum, the
-    classical bound of both."""
+    tightness test gives the verdict and, as its elimination maximum,
+    the classical bound of both."""
     partition = _require_bell(scenario)
     target_ineq = inequality.relabeled(kind="NCHV")
     tight = tightness_test(inequality, scenario, budget=budget)

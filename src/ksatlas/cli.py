@@ -251,7 +251,7 @@ def build_parser():
     q.add_argument("scenario")
     q.add_argument("inequality")
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max deterministic assignments to enumerate")
+                   help="max elimination-table entries, coordinates and face vertices")
     q.set_defaults(fn=cmd_tight)
 
     q = sub.add_parser("member", help="membership in the classical polytope")
@@ -300,7 +300,7 @@ def build_parser():
     q.add_argument("--restarts", type=int, default=8)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max deterministic assignments to enumerate")
+                   help="max elimination-table entries, coordinates and face vertices")
     q.set_defaults(fn=cmd_map)
 
     q = sub.add_parser("examples", help="write canned example files")

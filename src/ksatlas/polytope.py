@@ -4,22 +4,23 @@ Vertices are the behaviors of global deterministic assignments. All
 verdicts (classical bounds, membership, facet tightness) are exact, and
 each fact has one path. The polytope's dimension is a closed form read
 from the scenario (polytope_dimension). An inequality has one integer
-form, one table per scope from _kernels.scope_tables: classical_bound
-maximizes it by variable elimination, which also bounds membership_test's
-separating witness, and tightness_test sums the tables at every vertex's
-outcome digits. The exact rank runs only on a face's saturating vertices.
+form, one table per scope from _kernels.scope_tables, maximized by
+variable elimination: classical_bound reads the maximum, which also
+bounds membership_test's separating witness, and tightness_test reads
+the maximum and the maximizers, whose rows alone the exact rank sees.
+Only membership builds every vertex (enumerate_vertices).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import best_assignment, scope_tables
+from ._kernels import best_assignment, maximizers
 from .errors import BudgetExceeded, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
@@ -27,6 +28,7 @@ from .scenario import (
     Inequality,
     check_inequality,
     frac,
+    frac_str,
     maximal_contexts,
     outcome_grid,
     validate_behavior,
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 24
-MEMORY_BUDGET = 1 << 26  # max stored coordinate entries (N * D)
+MEMORY_BUDGET = 1 << 26  # max stored coordinate entries (rows * D)
 
 
 class Layout:
@@ -58,35 +60,27 @@ class Layout:
         self.scenario = scenario
         self.contexts = tuple(c.members for c in maximal_contexts(scenario))
         self.grids = [outcome_grid(scenario, c) for c in self.contexts]
-        self.offsets = []
-        d = 0
-        for g in self.grids:
-            self.offsets.append(d)
-            d += len(g)
-        self.size = d
         self.pairs = [
             (ctx, asg)
             for ctx, grid in zip(self.contexts, self.grids)
             for asg in grid
         ]
+        self.size = len(self.pairs)
 
     def behavior_coords(self, behavior):
         return [frac(behavior.table(ctx)[asg]) for ctx, asg in self.pairs]
 
     def behavior_from_row(self, row):
-        tables = {}
-        for ctx, grid, off in zip(self.contexts, self.grids, self.offsets):
-            tables[ctx] = {asg: Fraction(int(row[off + k]))
-                           for k, asg in enumerate(grid)}
+        tables = {ctx: {} for ctx in self.contexts}
+        for (ctx, asg), v in zip(self.pairs, row):
+            tables[ctx][asg] = Fraction(int(v))
         return Behavior(self.scenario, "rational", tables)
 
 
 @dataclass
 class PolytopeDescription:
-    scenario: object
     layout: Layout
     coords: np.ndarray          # (N, D) uint8, row i: assignment i's vertex
-    digits: list                # per measurement, its outcome index at each vertex
 
     @property
     def n_vertices(self):
@@ -94,10 +88,6 @@ class PolytopeDescription:
 
     def vertex_behavior(self, i):
         return self.layout.behavior_from_row(self.coords[i])
-
-    @property
-    def dimension(self):
-        return polytope_dimension(self.scenario)
 
 
 @dataclass(frozen=True)
@@ -109,14 +99,7 @@ class TightnessReport:
     polytope_dimension: int
 
     def to_json(self):
-        from .scenario import frac_str
-        return {
-            "verdict": self.verdict,
-            "classical_bound": frac_str(self.classical_bound),
-            "saturating_vertices": self.saturating_vertices,
-            "face_dimension": self.face_dimension,
-            "polytope_dimension": self.polytope_dimension,
-        }
+        return {**asdict(self), "classical_bound": frac_str(self.classical_bound)}
 
 
 @dataclass(frozen=True)
@@ -127,7 +110,6 @@ class MembershipResult:
     witness_value: Fraction | None = None
 
     def to_json(self, scenario):
-        from .scenario import frac_str
         out = {"member": self.member}
         if self.weights is not None:
             out["weights"] = {str(k): frac_str(w) for k, w in self.weights.items() if w}
@@ -142,6 +124,26 @@ def _assignment_space(scenario):
     return radices, math.prod(radices)
 
 
+def _coordinate_count(contexts, radices):
+    """D: the summed table sizes of the maximal contexts."""
+    return sum(math.prod(radices[m] for m in ctx) for ctx in contexts)
+
+
+def _coordinate_rows(contexts, radices, digits):
+    """Exact 0/1 coordinate rows, in Layout order, of the assignments
+    given as one outcome-index array per measurement."""
+    n = len(digits[0]) if digits else 1  # no measurements: one empty assignment
+    coords = np.zeros((n, _coordinate_count(contexts, radices)), dtype=np.uint8)
+    offset = 0
+    for ctx in contexts:
+        pos = np.zeros(n, dtype=np.int64)  # int64 first: small digits never wrap
+        for m in ctx:
+            pos = pos * radices[m] + digits[m]
+        coords[np.arange(n), offset + pos] = 1
+        offset += math.prod(radices[m] for m in ctx)
+    return coords
+
+
 def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
     """All deterministic-assignment behaviors as exact 0/1 coordinate rows,
     one per assignment in mixed-radix order.
@@ -154,35 +156,14 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget}")
     # D from the contexts alone: Layout, which builds every grid, comes after
-    size = sum(math.prod(radices[m] for m in c.members)
-               for c in maximal_contexts(scenario))
+    size = _coordinate_count([c.members for c in maximal_contexts(scenario)], radices)
     if total * size > MEMORY_BUDGET:
         raise BudgetExceeded(
             f"{total} x {size} coordinate entries exceed the memory budget")
     layout = Layout(scenario)
-
-    # one digit vector per measurement, in the smallest dtype that holds
-    # it, so no total x n_meas int64 matrix is ever built
-    idx = np.arange(total, dtype=np.int64)
-    digits = [None] * len(radices)
-    stride = 1
-    for m in range(len(radices) - 1, -1, -1):
-        digits[m] = ((idx // stride) % radices[m]).astype(
-            np.min_scalar_type(radices[m] - 1))
-        stride *= radices[m]
-
-    coords = np.zeros((total, layout.size), dtype=np.uint8)
-    for ci, ctx in enumerate(layout.contexts):
-        pos = np.full(total, layout.offsets[ci], dtype=np.int64)
-        s = 1
-        for m in reversed(ctx):
-            # widen first: a small-dtype digit times a stride past its
-            # range would wrap under NumPy 1.x value-based casting
-            pos += digits[m].astype(np.int64) * s
-            s *= radices[m]
-        coords[idx, pos] = 1
-
-    return PolytopeDescription(scenario, layout, coords, digits)
+    # the maximizers of the empty inequality: every assignment, in index order
+    coords = _coordinate_rows(layout.contexts, radices, maximizers(radices, []))
+    return PolytopeDescription(layout, coords)
 
 
 def _int_terms(scenario, inequality):
@@ -293,26 +274,30 @@ def _affine_rank(coords):
 
 
 def tightness_test(inequality, scenario, budget=DEFAULT_BUDGET):
-    """Facet verdict for the inequality at its stored bound, all exact."""
+    """Facet verdict for the inequality at its stored bound, all exact:
+    one elimination gives the bound and the face's vertices. budget caps
+    the coordinate count D, the largest elimination table and, with
+    MEMORY_BUDGET // D, the face, each before the work it guards."""
     check_inequality(scenario, inequality)
-    desc = enumerate_vertices(scenario, budget=budget)
-    poly_dim = polytope_dimension(scenario)  # admitted: walks at most D subsets
-    # every vertex's exact scaled value: its scope tables at its outcome digits
-    terms, denom = _int_terms(scenario, inequality)
     radices, _ = _assignment_space(scenario)
-    vals = np.zeros(desc.n_vertices, dtype=np.int64)
-    for scope, tab in scope_tables(radices, terms).items():
-        vals = vals + tab[tuple(desc.digits[m] for m in scope)]
-    max_val = Fraction(int(vals.max()), denom)
+    contexts = [c.members for c in maximal_contexts(scenario)]
+    size = _coordinate_count(contexts, radices)
+    if size > budget:
+        raise BudgetExceeded(f"{size} coordinates exceed budget {budget}")
+    poly_dim = polytope_dimension(scenario)  # admitted: walks at most D subsets
+    terms, denom = _int_terms(scenario, inequality)
+    best, elimination = best_assignment(radices, terms, budget)
+    max_val = Fraction(best, denom)
 
     if max_val > inequality.bound:
         return TightnessReport("violated-by-vertex", max_val, 0, -1, poly_dim)
     if max_val < inequality.bound:
         return TightnessReport("not supporting", max_val, 0, -1, poly_dim)
-    sat = np.nonzero(vals == int(inequality.bound * denom))[0]
-    face_dim = _affine_rank(desc.coords[sat])
+    face = maximizers(radices, elimination, limit=min(budget, MEMORY_BUDGET // max(size, 1)))
+    rows = _coordinate_rows(contexts, radices, face)
+    face_dim = _affine_rank(rows)
     verdict = "facet" if face_dim == poly_dim - 1 else "lower-dimensional face"
-    return TightnessReport(verdict, max_val, int(len(sat)), face_dim, poly_dim)
+    return TightnessReport(verdict, max_val, rows.shape[0], face_dim, poly_dim)
 
 
 def _membership_lp(coords, coords_b, tol):

@@ -5,24 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksatlas._kernels import best_assignment, decode_assignment, scope_tables
+from ksatlas._kernels import best_assignment, maximizers, scope_tables
 from ksatlas.errors import BudgetExceeded
 
 
-def value_at(radices, terms, index):
-    combo = decode_assignment(index, radices)
+def value_of(combo, terms):
     return sum(c for members, outs, c in terms
                if all(combo[m] == o for m, o in zip(members, outs)))
 
 
 def brute(radices, terms):
-    best = None
-    for combo in itertools.product(*(range(r) for r in radices)):
-        v = sum(c for members, outs, c in terms
-                if all(combo[m] == o for m, o in zip(members, outs)))
-        if best is None or v > best:
-            best = v
-    return best
+    return max(value_of(combo, terms)
+               for combo in itertools.product(*(range(r) for r in radices)))
+
+
+def brute_maximizers(radices, terms):
+    best = brute(radices, terms)
+    return {combo for combo in itertools.product(*(range(r) for r in radices))
+            if value_of(combo, terms) == best}
+
+
+def face(radices, terms, budget=None, limit=None):
+    """best_assignment's maximum and maximizers' rows as a set of tuples;
+    the rows must be distinct."""
+    best, elimination = best_assignment(radices, terms, budget)
+    digits = maximizers(radices, elimination, limit)
+    rows = list(zip(*(d.tolist() for d in digits)))
+    assert len(set(rows)) == len(rows)
+    return best, set(rows)
 
 
 def random_instance(rng):
@@ -41,9 +51,9 @@ def test_kernel_paths_agree_with_brute_force():
     rng = np.random.default_rng(43)
     for _ in range(30):
         radices, terms = random_instance(rng)
-        best, index = best_assignment(radices, terms)
+        best, rows = face(radices, terms)
         assert best == brute(radices, terms)
-        assert value_at(radices, terms, index) == best
+        assert rows == brute_maximizers(radices, terms)
 
 
 @st.composite
@@ -71,24 +81,30 @@ def instances(draw):
 @given(instances())
 def test_elimination_matches_brute_force(instance):
     radices, terms = instance
-    best, index = best_assignment(radices, terms)
+    best, rows = face(radices, terms)
     assert best == brute(radices, terms)
-    assert 0 <= index < int(np.prod(radices))
-    assert value_at(radices, terms, index) == best
+    assert rows == brute_maximizers(radices, terms)
 
 
 def test_wide_coefficients_stay_exact():
     big = (1 << 62) + 1
     terms = [((0,), (1,), big), ((0, 1), (1, 1), big), ((1,), (1,), -1)]
-    best, index = best_assignment([2, 2], terms)
+    best, rows = face([2, 2], terms)
     assert best == 2 * big - 1
-    assert isinstance(best, int) and decode_assignment(index, [2, 2]) == [1, 1]
+    assert isinstance(best, int) and rows == {(1, 1)}
+    # a tie past int64: both outcomes of measurement 1 stay
+    tie = [((0,), (1,), big), ((0, 1), (1, 0), big), ((0, 1), (1, 1), big)]
+    assert face([2, 2], tie) == (2 * big, {(1, 0), (1, 1)})
 
 
-def test_unmentioned_measurements_take_outcome_zero():
-    best, index = best_assignment([3, 2, 3], [((1,), (1,), 5)])
-    assert best == 5 and decode_assignment(index, [3, 2, 3]) == [0, 1, 0]
-    assert best_assignment([2, 2], []) == (0, 0)
+def test_unmentioned_measurements_take_every_outcome():
+    best, rows = face([3, 2, 3], [((1,), (1,), 5)])
+    assert best == 5 and rows == {(a, 1, c) for a in range(3) for c in range(3)}
+    # the empty inequality: every assignment, in mixed-radix order
+    best, elimination = best_assignment([2, 3], [])
+    assert (best, elimination) == (0, [])
+    digits = maximizers([2, 3], elimination)
+    assert list(zip(*(d.tolist() for d in digits))) == list(itertools.product(range(2), range(3)))
 
 
 def test_scope_tables_drop_zero_tables_and_widen_past_int64():
@@ -121,16 +137,24 @@ def test_sparse_terms_stay_under_a_small_budget():
     # a 40-measurement chain: 2^40 assignments, elimination tables of 4
     n = 40
     terms = [((i, i + 1), (i % 2, (i + 1) % 2), 1) for i in range(n - 1)]
-    best, index = best_assignment([2] * n, terms, 4)
+    best, rows = face([2] * n, terms, 4)
     assert best == n - 1
-    assert value_at([2] * n, terms, index) == best
+    assert rows == {tuple(i % 2 for i in range(n))}
 
 
-def test_decode_assignment_round_trip():
-    radices = [2, 3, 2]
-    for idx in range(12):
-        digits = decode_assignment(idx, radices)
-        back = 0
-        for d, r in zip(digits, radices):
-            back = back * r + d
-        assert back == idx
+def test_face_past_the_limit_is_refused():
+    # one term on a 30-measurement chain: 2^28 maximizers, refused from the
+    # free measurements' outcome counts before a digit array is built
+    n = 30
+    best, elimination = best_assignment([2] * n, [((0, 1), (1, 1), 1)])
+    with pytest.raises(BudgetExceeded):
+        maximizers([2] * n, elimination, limit=1 << 20)
+    # ties found during the walk count too: x0 + x1 + x2 - 2 per pair of
+    # ones is maximal (1) at the 3 assignments with exactly one 1
+    terms = [((i,), (1,), 1) for i in range(3)] + [
+        ((i, j), (1, 1), -2) for i, j in itertools.combinations(range(3), 2)]
+    best, elimination = best_assignment([2] * 3, terms)
+    assert best == 1
+    assert len(maximizers([2] * 3, elimination, limit=3)[0]) == 3
+    with pytest.raises(BudgetExceeded):
+        maximizers([2] * 3, elimination, limit=2)

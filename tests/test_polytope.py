@@ -77,14 +77,14 @@ def test_single_measurement_two_vertices():
     s = build_scenario(["m"], [2], [])
     desc = enumerate_vertices(s)
     assert desc.n_vertices == 2
-    assert desc.dimension == 1
+    assert polytope_dimension(s) == 1
 
 
 def test_chsh_sixteen_vertices_dim8(chsh):
     scenario, _ = chsh
     desc = enumerate_vertices(scenario)
     assert desc.n_vertices == 16
-    assert desc.dimension == 8 == product_scenario_dim([2, 2])
+    assert polytope_dimension(scenario) == 8 == product_scenario_dim([2, 2])
     # float-rank oracle agrees
     diffs = desc.coords[1:].astype(float) - desc.coords[0].astype(float)
     assert np.linalg.matrix_rank(diffs, tol=1e-9) == 8
@@ -122,6 +122,22 @@ def test_budgets_are_checked_before_the_grids_are_built(monkeypatch, budget):
     monkeypatch.setattr("ksatlas.polytope.Layout", no_layout)
     with pytest.raises(BudgetExceeded):
         enumerate_vertices(s, budget=budget)
+
+
+def test_tightness_budget_is_checked_before_the_grids_are_built(monkeypatch):
+    # K20 of dichotomic measurements: its 2^20 coordinates exceed a budget
+    # of 1000, refused before Layout or the walk over 2^20 clique subsets
+    s = build_scenario([f"m{i}" for i in range(20)], [2] * 20,
+                       list(itertools.combinations(range(20), 2)))
+    ineq = Inequality((((0, 1), (1, 1), F(1)),), 1)
+
+    def too_early(scenario):
+        raise AssertionError("grids or cliques walked before the budget checks")
+
+    monkeypatch.setattr("ksatlas.polytope.Layout", too_early)
+    monkeypatch.setattr("ksatlas.polytope.polytope_dimension", too_early)
+    with pytest.raises(BudgetExceeded):
+        tightness_test(ineq, s, budget=1000)
 
 
 def test_vertex_behaviors_are_valid(hexagon):
@@ -284,6 +300,40 @@ def test_chsh_is_a_facet(chsh):
     rep = tightness_test(ineq, scenario)
     assert rep.verdict == "facet"
     assert rep.face_dimension == 7
+
+
+def chained_bell(m):
+    """m x m chained Bell: correlators A_k B_k and A_{k+1} B_k with sign +1
+    and the wrap A_0 B_{m-1} with sign -1; local bound 2m - 2."""
+    s = build_scenario([f"A{i}" for i in range(m)] + [f"B{i}" for i in range(m)],
+                       [2] * (2 * m), [(i, m + j) for i in range(m) for j in range(m)])
+    corr = [((k, m + k), 1) for k in range(m)]
+    corr += [((k + 1, m + k), 1) for k in range(m - 1)] + [((0, 2 * m - 1), -1)]
+    return s, correlator_inequality(s, corr, 2 * m - 2, "LR")
+
+
+@pytest.mark.parametrize("case, verdict, dim", [
+    (lambda: n_cycle(20), "facet", 40),
+    # 2^20 assignments x 80 or 200 coordinates: past the memory budget
+    # for a vertex list, yet only 40 vertices saturate
+    (lambda: chained_bell(10), "lower-dimensional face", 120),
+])
+def test_tightness_reads_the_face_not_the_vertex_list(case, verdict, dim):
+    scenario, ineq = case()
+    assert ineq.bound == 18
+    rep = tightness_test(ineq, scenario)
+    assert (rep.verdict, rep.classical_bound, rep.saturating_vertices,
+            rep.face_dimension, rep.polytope_dimension) == (verdict, 18, 40, 39, dim)
+    with pytest.raises(BudgetExceeded):
+        enumerate_vertices(scenario)
+
+
+def test_scenario_without_measurements():
+    # one vertex, the empty assignment, with no coordinates
+    s = build_scenario([], [], [])
+    rep = tightness_test(Inequality((), 0), s)
+    assert (rep.saturating_vertices, rep.face_dimension, rep.polytope_dimension) == (1, 0, 0)
+    assert enumerate_vertices(s).coords.shape == (1, 0)
 
 
 def test_tightness_edge_verdicts(hexagon):
@@ -483,7 +533,7 @@ def shared_form_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(shared_form_cases())
 def test_tightness_and_bound_read_one_integer_form(case):
-    # the elimination oracle and the vertex values share one integer
+    # the bound and the face come from one elimination of the integer
     # form: both must agree with brute-force evaluate on every vertex
     s, terms = case
     bound = classical_bound(Inequality(terms, 0), s)
@@ -493,6 +543,9 @@ def test_tightness_and_bound_read_one_integer_form(case):
     rep = tightness_test(ineq, s)
     assert rep.classical_bound == bound == max(values)
     assert rep.saturating_vertices == values.count(bound)
+    # the face from the elimination's maximizers against all vertex rows
+    sat = [i for i, v in enumerate(values) if v == bound]
+    assert rep.face_dimension == _affine_rank(desc.coords[sat])
 
 
 def test_membership_grid_search_agreement():
