@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
-    DimensionTooLarge,
     InvalidPartition,
     NotABellScenario,
     NotDichotomic,
@@ -36,10 +35,10 @@ from .polytope import DEFAULT_BUDGET, classical_bound, tightness_test
 from .quantum import (
     SICSet,
     observable_effects,
-    remove_measurement,
     seesaw_max,
     validate_model,
     verify_sic,
+    witness_operator,
 )
 from .scenario import (
     Inequality,
@@ -74,19 +73,34 @@ class MappingReport:
     connection: str              # "one-to-one", "partial" or "generic-lift"
     source_scenario: Scenario
     source_inequality: Inequality
-    target_scenario: Scenario | None
-    target_inequality: Inequality | None
-    source_bound: Fraction | None
-    target_bound: Fraction | None
-    bound_preserved: bool | None
-    source_tightness: object | None
-    target_tightness: object | None
-    tightness_preserved: bool | None
+    source_tightness: object      # TightnessReport; its maximum is the bound
+    target_scenario: Scenario | None = None
+    target_inequality: Inequality | None = None
+    target_tightness: object | None = None
     partition: Partition | None = None
     source_quantum: float | None = None
     target_quantum: float | None = None
     quantum_method: str = ""
     notes: tuple = ()
+
+    @property
+    def source_bound(self):
+        return self.source_tightness.classical_bound
+
+    @property
+    def target_bound(self):
+        if self.target_tightness is not None:
+            return self.target_tightness.classical_bound
+
+    @property
+    def bound_preserved(self):
+        if self.target_tightness is not None:
+            return self.source_bound == self.target_bound
+
+    @property
+    def tightness_preserved(self):
+        if self.target_tightness is not None:
+            return self.source_tightness.verdict == self.target_tightness.verdict
 
     def to_json(self):
         from .scenario import frac_str
@@ -104,13 +118,11 @@ class MappingReport:
                 "scenario": self.target_scenario.to_json(),
                 "inequality": self.target_inequality.to_json(self.target_scenario),
             }
-        if self.source_bound is not None:
-            out["source_bound"] = frac_str(self.source_bound)
-        if self.target_bound is not None:
+        out["source_bound"] = frac_str(self.source_bound)
+        if self.target_tightness is not None:
             out["target_bound"] = frac_str(self.target_bound)
             out["bound_preserved"] = self.bound_preserved
-        if self.source_tightness is not None:
-            out["source_tightness"] = self.source_tightness.to_json()
+        out["source_tightness"] = self.source_tightness.to_json()
         if self.target_tightness is not None:
             out["target_tightness"] = self.target_tightness.to_json()
             out["tightness_preserved"] = self.tightness_preserved
@@ -144,20 +156,15 @@ def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
     partition = _require_bell(scenario)
     target_ineq = inequality.relabeled(kind="NCHV")
     tight = tightness_test(inequality, scenario, budget=budget)
-    bound = tight.classical_bound
     return MappingReport(
         direction="bell-to-ks",
         connection="one-to-one",
         source_scenario=scenario,
         source_inequality=inequality,
+        source_tightness=tight,
         target_scenario=scenario,
         target_inequality=target_ineq,
-        source_bound=bound,
-        target_bound=bound,
-        bound_preserved=True,
-        source_tightness=tight,
         target_tightness=tight,
-        tightness_preserved=True,
         partition=partition,
     )
 
@@ -188,11 +195,16 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
 
     The target compatibility graph is the complete n-partite closure over
     the parts (space-like separation makes all cross-party pairs
-    compatible). Inequality terms are carried verbatim; the classical
-    bound and the tightness verdict are recomputed on the target, never
-    trusted. When the source is already complete n-partite the map is the
-    identity (ids included) and the source results are reused; otherwise
-    measurements get party-prefixed identifiers.
+    compatible). Inequality terms are carried verbatim, and measurements
+    and outcomes are unchanged, so every deterministic assignment of the
+    source is one of the target and gives the same value: the classical
+    bound depends only on the outcome counts and the terms (the graph only
+    decides which terms are valid, and the closure keeps every source
+    context). The target inequality therefore sits at the source's
+    elimination maximum; its tightness verdict is computed on the target,
+    whose polytope differs. When the source is already complete n-partite
+    the map is the identity (ids included) and the source verdict is
+    reused; otherwise measurements get party-prefixed identifiers.
     """
     _validate_partition(scenario, partition)
     n_meas = len(scenario.measurements)
@@ -215,15 +227,10 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
         target = build_scenario(ids, scenario.outcomes, closure_edges)
 
     src_tight = tightness_test(inequality, scenario, budget=budget)
-    src_bound = src_tight.classical_bound
-    tgt_terms = inequality.terms  # indices unchanged, only ids renamed
-    if identity:
-        tgt_bound = src_bound
-    else:
-        probe = Inequality(tgt_terms, inequality.bound, "LR", inequality.label)
-        tgt_bound = classical_bound(probe, target, budget=budget)
-    target_ineq = Inequality(tgt_terms, tgt_bound, "LR", inequality.label)
-    if identity and tgt_bound == inequality.bound:
+    # indices unchanged, only ids renamed
+    target_ineq = Inequality(inequality.terms, src_tight.classical_bound, "LR",
+                             inequality.label)
+    if identity and src_tight.classical_bound == inequality.bound:
         tgt_tight = src_tight
     else:
         tgt_tight = tightness_test(target_ineq, target, budget=budget)
@@ -232,14 +239,10 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
         connection="one-to-one" if identity else "partial",
         source_scenario=scenario,
         source_inequality=inequality,
+        source_tightness=src_tight,
         target_scenario=target,
         target_inequality=target_ineq,
-        source_bound=src_bound,
-        target_bound=tgt_bound,
-        bound_preserved=src_bound == tgt_bound,
-        source_tightness=src_tight,
         target_tightness=tgt_tight,
-        tightness_preserved=src_tight.verdict == tgt_tight.verdict,
         partition=partition,
     )
 
@@ -257,10 +260,7 @@ def n_cycle(n, budget=DEFAULT_BUDGET):
     )
     correlators = [((i, i + 1), 1) for i in range(n - 1)] + [((n - 1, 0), -1)]
     probe = correlator_inequality(scenario, correlators, 0, "NCHV", f"cycle-{n}")
-    bound = classical_bound(probe, scenario, budget=budget)
-    inequality = correlator_inequality(scenario, correlators, bound, "NCHV",
-                                       f"cycle-{n}")
-    return scenario, inequality
+    return scenario, replace(probe, bound=classical_bound(probe, scenario, budget=budget))
 
 
 def n_cycle_quantum_model(n):
@@ -321,8 +321,7 @@ def chsh_example(budget=DEFAULT_BUDGET):
     )
     correlators = [((0, 2), 1), ((0, 3), 1), ((1, 2), 1), ((1, 3), -1)]
     probe = correlator_inequality(scenario, correlators, 0, "LR", "chsh")
-    bound = classical_bound(probe, scenario, budget=budget)
-    return scenario, correlator_inequality(scenario, correlators, bound, "LR", "chsh")
+    return scenario, replace(probe, bound=classical_bound(probe, scenario, budget=budget))
 
 
 def pm_square():
@@ -358,7 +357,7 @@ def pm_square():
         correlators.append((ctx.members, sign))
     probe = correlator_inequality(scenario, correlators, 0, "NCHV", "pm-witness")
     mu = classical_bound(probe, scenario)
-    witness = correlator_inequality(scenario, correlators, mu, "NCHV", "pm-witness")
+    witness = replace(probe, bound=mu)
     effects = tuple(observable_effects(m) for m in mats)
     return SICSet(4, scenario, effects, witness, mu, float(len(correlators)))
 
@@ -369,13 +368,22 @@ def pm_square():
 class SicBellReport:
     scenario: Scenario
     inequality: Inequality        # lifted Bell expression, bound = exact local bound
-    local_bound: Fraction
     mu: Fraction
-    local_bound_matches_mu: bool
     constant: Fraction            # additive constant dropped from the expression
     quantum_value: float          # on the maximally entangled state
-    violation: float
     removal_violations: tuple     # (measurement id, violation after removal)
+
+    @property
+    def local_bound(self):
+        return self.inequality.bound
+
+    @property
+    def local_bound_matches_mu(self):
+        return self.local_bound + self.constant == self.mu
+
+    @property
+    def violation(self):
+        return self.quantum_value - float(self.local_bound)
 
     def to_json(self):
         from .scenario import frac_str
@@ -401,8 +409,9 @@ def _dichotomic_indices(scenario):
                 "the Bell lift is implemented for +-1 observable sets")
 
 
-def _lift_once(sic_set, budget):
-    """Build the bipartite Bell scenario and expression for one witness set.
+def _lift_once(s, witness, budget):
+    """Build the bipartite Bell scenario and expression for one witness on
+    the dichotomic scenario s.
 
     For every correlator subset T of the witness (coefficient c_T) and
     every j in T, Alice jointly measures T and contributes the product of
@@ -410,14 +419,11 @@ def _lift_once(sic_set, budget):
     partner observable of j; on the maximally entangled state each such
     term reproduces the witness correlator, so their |T|-average restores
     the witness value q (minus the constant term, which is returned
-    separately). Returns (scenario, inequality, local bound, constant).
+    separately). Returns (scenario, inequality at its local bound, constant).
     """
-    _dichotomic_indices(sic_set.scenario)
-    subsets, const = correlator_decomposition(sic_set.scenario, sic_set.witness)
-    subsets = {t: c for t, c in subsets.items() if c != 0}
+    subsets, const = correlator_decomposition(s, witness)
     if not subsets:
         raise SicVerificationFailed("witness has no correlator content")
-    s = sic_set.scenario
 
     alice_settings = sorted(subsets)           # tuples of measurement indices
     bob_meas = sorted({m for t in subsets for m in t})
@@ -459,12 +465,10 @@ def _lift_once(sic_set, budget):
                         coef,
                     ))
     probe = Inequality(tuple(terms), 0, "LR", "sic-lift")
-    local = classical_bound(probe, bell, budget=budget)
-    lifted = Inequality(tuple(terms), local, "LR", "sic-lift")
-    return bell, lifted, local, const
+    return bell, replace(probe, bound=classical_bound(probe, bell, budget=budget)), const
 
 
-def sic_to_bell(sic_set, budget=DEFAULT_BUDGET, sample_states=50, seed=0):
+def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
     """Lift a verified SIC set to a bipartite Bell inequality.
 
     The local bound is computed exactly on the lifted scenario. The
@@ -475,44 +479,40 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET, sample_states=50, seed=0):
     lifted value is the witness's Tr(W)/d minus the constant term that
     the lift drops. If the computed local bound differs from the
     witness's classical bound mu, the report carries both and flags the
-    mismatch rather than hiding it. For every measurement of the embedded
-    contextual subset, the lift is rebuilt without it and the residual
-    violation reported.
+    mismatch rather than hiding it. Removing a measurement m of the
+    embedded contextual subset drops the witness terms that involve m; the
+    rest is lifted on the same measurements (only names, outcomes and terms
+    are read, so m simply gets no setting), and the residual violation
+    Tr(W_m)/d minus the dropped constant minus the local bound is reported.
     """
-    if sic_set.dim > 8:
-        raise DimensionTooLarge("the desk-scale lift supports dimension <= 8")
     validate_model(sic_set.model(), sic_set.scenario)
-    rep = verify_sic(sic_set, sample_states=sample_states, seed=seed)
+    rep = verify_sic(sic_set, sample_states=0)
     if not rep.is_sic:
         raise SicVerificationFailed(
             f"not a SIC set: min witness value {rep.min_eigenvalue} "
             f"vs bound {sic_set.mu}")
-
-    bell, lifted, local, const = _lift_once(sic_set, budget)
-    value = rep.q_estimate - float(const)
-    violation = value - float(local)
+    s = sic_set.scenario
+    _dichotomic_indices(s)
+    bell, lifted, const = _lift_once(s, sic_set.witness, budget)
 
     removals = []
-    n_meas = len(sic_set.scenario.measurements)
-    embedded = getattr(sic_set, "embedded", None) or range(n_meas)
-    for m in embedded:
-        reduced = remove_measurement(sic_set, m)
-        if not reduced.witness.terms:
-            removals.append((sic_set.scenario.measurements[m], 0.0))
+    for m in sic_set.embedded or range(len(s.measurements)):
+        witness = replace(sic_set.witness,
+                          terms=[t for t in sic_set.witness.terms if m not in t[0]])
+        if not witness.terms:
+            removals.append((s.measurements[m], 0.0))
             continue
-        _, _, local_r, const_r = _lift_once(reduced, budget)
-        removals.append((sic_set.scenario.measurements[m],
-                         reduced.q - float(const_r) - float(local_r)))
+        _, lifted_m, const_m = _lift_once(s, witness, budget)
+        q_m = float(np.trace(witness_operator(replace(sic_set, witness=witness))).real)
+        removals.append((s.measurements[m],
+                         q_m / sic_set.dim - float(const_m) - float(lifted_m.bound)))
 
     return SicBellReport(
         scenario=bell,
         inequality=lifted,
-        local_bound=local,
         mu=sic_set.mu,
-        local_bound_matches_mu=(local + const) == sic_set.mu,
         constant=const,
-        quantum_value=value,
-        violation=violation,
+        quantum_value=rep.q_estimate - float(const),
         removal_violations=tuple(removals),
     )
 
@@ -549,20 +549,12 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
     else:
         part = partition or _first_valid_partition(scenario.compat)
         if part is None:
-            src_tight = tightness_test(inequality, scenario, budget=budget)
             return MappingReport(
                 direction="ks-to-bell",
                 connection="generic-lift",
                 source_scenario=scenario,
                 source_inequality=inequality,
-                target_scenario=None,
-                target_inequality=None,
-                source_bound=src_tight.classical_bound,
-                target_bound=None,
-                bound_preserved=None,
-                source_tightness=src_tight,
-                target_tightness=None,
-                tightness_preserved=None,
+                source_tightness=tightness_test(inequality, scenario, budget=budget),
                 notes=(
                     "no n-partition with two measurements per part exists; "
                     "only the generic SIC-set lift arrow applies",
@@ -580,12 +572,15 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
     report.notes = tuple(notes)
 
     if with_quantum and report.target_scenario is not None:
-        src_q = seesaw_max(report.source_inequality, report.source_scenario,
-                           dim=dim, restarts=restarts, seed=seed)
-        tgt_q = seesaw_max(report.target_inequality, report.target_scenario,
-                           dim=dim, restarts=restarts, seed=seed)
-        report.source_quantum = src_q.value
-        report.target_quantum = tgt_q.value
+        # a one-to-one map keeps scenario and terms, and the seesaw reads no
+        # bound, so the source run is the target run
+        report.source_quantum = report.target_quantum = seesaw_max(
+            report.source_inequality, report.source_scenario,
+            dim=dim, restarts=restarts, seed=seed).value
+        if report.connection != "one-to-one":
+            report.target_quantum = seesaw_max(
+                report.target_inequality, report.target_scenario,
+                dim=dim, restarts=restarts, seed=seed).value
         report.quantum_method = (
             f"seesaw(dim={dim}, restarts={restarts}, seed={seed}); "
             "lower bounds on the quantum maxima")

@@ -115,10 +115,6 @@ class SicVerificationFailed(ValidationError):
     pass
 
 
-class DimensionTooLarge(ValidationError):
-    pass
-
-
 # -- cli --------------------------------------------------------------------
 
 class UsageError(AtlasError):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -5,7 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ksatlas.bridge
+import ksatlas.polytope
 from ksatlas.bridge import (
     bell_to_ks,
     chsh_example,
@@ -25,8 +30,14 @@ from ksatlas.errors import (
 )
 from ksatlas.graphs import Partition
 from ksatlas.polytope import classical_bound, tightness_test
-from ksatlas.quantum import QuantumModel, quantum_behavior, remove_measurement
+from ksatlas.quantum import (
+    QuantumModel,
+    criticality_check,
+    quantum_behavior,
+    remove_measurement,
+)
 from ksatlas.scenario import (
+    Inequality,
     build_scenario,
     correlator_decomposition,
     correlator_inequality,
@@ -144,6 +155,50 @@ def test_ks_to_bell_bound_never_drops(pearle):
         assert rep.target_bound == rep.source_bound
 
 
+@st.composite
+def partitioned_scenarios(draw):
+    """Dichotomic scenarios with a valid party partition: 2-3 parts of 2-3
+    measurements each, no edge inside a part, a random subset of the
+    cross-part pairs as edges, and terms on single measurements and edges
+    at a bound that may or may not be the classical maximum."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    part = Partition(tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])))
+    part_of = {m: k for k, p in enumerate(part.parts) for m in p}
+    cross = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if part_of[i] != part_of[j]]
+    edges = draw(st.lists(st.sampled_from(cross), unique=True))
+    s = build_scenario([f"M{i}" for i in range(n)], [2] * n, edges)
+    scopes = [(m,) for m in range(n)] + sorted(edges)
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        members = draw(st.sampled_from(scopes))
+        asg = tuple(draw(st.sampled_from((1, -1))) for _ in members)
+        coef = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        terms.append((members, asg, coef))
+    return s, Inequality(tuple(terms), draw(st.integers(-2, 4)), "NCHV"), part
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitioned_scenarios())
+def test_target_bound_is_the_source_maximum(case):
+    # the target inequality is built at the source's elimination maximum;
+    # recompute bound and verdict on the target and by brute force
+    s, ineq, part = case
+    rep = ks_to_bell(s, ineq, part)
+    brute = max(
+        sum((c for members, asg, c in ineq.terms
+             if all(signs[m] == o for m, o in zip(members, asg))), Fraction(0))
+        for signs in itertools.product((1, -1), repeat=len(s.measurements))
+    )
+    assert rep.target_bound == rep.target_inequality.bound == brute
+    assert rep.target_bound == classical_bound(ineq, rep.target_scenario)
+    assert rep.target_tightness == tightness_test(rep.target_inequality,
+                                                  rep.target_scenario)
+
+
 def test_eight_cycle_bell_bound_six():
     s, ineq = n_cycle(8)
     part = Partition((tuple(range(0, 8, 2)), tuple(range(1, 8, 2))))
@@ -242,6 +297,17 @@ def test_pm_lift_bound_via_full_enumeration_cross_check(pm):
     assert best == rep.local_bound
 
 
+def test_lift_has_no_dimension_cap(pm):
+    # the PM square tensored with I_3 (d = 12): no step of the lift reads d
+    effects = tuple(tuple(np.kron(e, np.eye(3)) for e in eff) for eff in pm.effects)
+    rep = sic_to_bell(dataclasses.replace(pm, dim=12, effects=effects))
+    assert rep.local_bound == Fraction(16, 3)
+    assert abs(rep.quantum_value - 6.0) < 1e-9
+    assert len(rep.removal_violations) == 9
+    for _, v in rep.removal_violations:
+        assert v <= 1e-9
+
+
 def test_sic_to_bell_rejects_broken_set(pm):
     from ksatlas.errors import SicVerificationFailed
     broken = remove_measurement(pm, 4)
@@ -296,3 +362,42 @@ def test_lift_rejects_noncommuting_compatible_effects(pm):
     effects = (pm.effects[4],) + tuple(pm.effects[1:])
     with pytest.raises(NonCommutingContext):
         sic_to_bell(dataclasses.replace(pm, effects=effects))
+
+
+# -- work done ---------------------------------------------------------------------
+
+def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
+    # eliminations (classical bounds and facet verdicts) and seesaw runs
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ksatlas.polytope, "best_assignment",
+                        counted("elim", ksatlas.polytope.best_assignment))
+    monkeypatch.setattr(ksatlas.bridge, "seesaw_max",
+                        counted("seesaw", ksatlas.bridge.seesaw_max))
+
+    def work(f):
+        calls.clear()
+        f()
+        return dict(calls)
+
+    # one verdict per side; the target bound is the source's maximum
+    assert work(lambda: ks_to_bell(pearle.scenario, pearle.gamma,
+                                   pearle.partition)) == {"elim": 2}
+    assert work(lambda: map_report(pearle.scenario, pearle.gamma)) == {"elim": 2}
+    assert work(pearle_hexagon) == {"elim": 3}
+    # the lift and each removal's lift; no reduced witness bound
+    assert work(lambda: sic_to_bell(dataclasses.replace(pm, embedded=(0,)))) \
+        == {"elim": 2}
+    assert work(lambda: sic_to_bell(pm)) == {"elim": 10}
+    assert work(lambda: criticality_check(pm)) == {"elim": 9}
+    # a one-to-one map seesaws once, a partial map once per side
+    assert work(lambda: map_report(*chsh, with_quantum=True, restarts=2)) \
+        == {"elim": 1, "seesaw": 1}
+    assert work(lambda: map_report(pearle.scenario, pearle.gamma, with_quantum=True,
+                                   restarts=2)) == {"elim": 2, "seesaw": 2}
