@@ -572,15 +572,12 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
     report.notes = tuple(notes)
 
     if with_quantum and report.target_scenario is not None:
-        # a one-to-one map keeps scenario and terms, and the seesaw reads no
-        # bound, so the source run is the target run
+        # every map keeps outcomes, measurement order and terms, and the
+        # seesaw reads no bound and no compatibility edge, so the source run
+        # is the target run
         report.source_quantum = report.target_quantum = seesaw_max(
             report.source_inequality, report.source_scenario,
             dim=dim, restarts=restarts, seed=seed).value
-        if report.connection != "one-to-one":
-            report.target_quantum = seesaw_max(
-                report.target_inequality, report.target_scenario,
-                dim=dim, restarts=restarts, seed=seed).value
         report.quantum_method = (
             f"seesaw(dim={dim}, restarts={restarts}, seed={seed}); "
             "lower bounds on the quantum maxima")

@@ -396,8 +396,8 @@ def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
         == {"elim": 2}
     assert work(lambda: sic_to_bell(pm)) == {"elim": 10}
     assert work(lambda: criticality_check(pm)) == {"elim": 9}
-    # a one-to-one map seesaws once, a partial map once per side
+    # one seesaw per map: the target run would repeat the source run
     assert work(lambda: map_report(*chsh, with_quantum=True, restarts=2)) \
         == {"elim": 1, "seesaw": 1}
     assert work(lambda: map_report(pearle.scenario, pearle.gamma, with_quantum=True,
-                                   restarts=2)) == {"elim": 2, "seesaw": 2}
+                                   restarts=2)) == {"elim": 2, "seesaw": 1}
