@@ -26,13 +26,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load(path):
+def _load(path, parse):
+    """parse(JSON content of path); a missing, non-JSON or wrongly shaped
+    file raises ValidationError naming it."""
     try:
-        return json.loads(Path(path).read_text())
+        return parse(json.loads(Path(path).read_text()))
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ValidationError(
+            f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 
 def _report(command, config, result, seed=None):
@@ -50,12 +55,12 @@ def _report(command, config, result, seed=None):
 
 def _scenario(path):
     from .scenario import Scenario
-    return Scenario.from_json(_load(path))
+    return _load(path, Scenario.from_json)
 
 
 def _inequality(scenario, path):
     from .scenario import Inequality, check_inequality
-    ineq = Inequality.from_json(scenario, _load(path))
+    ineq = _load(path, lambda data: Inequality.from_json(scenario, data))
     check_inequality(scenario, ineq)
     return ineq
 
@@ -63,7 +68,7 @@ def _inequality(scenario, path):
 def cmd_validate(args):
     from .scenario import Behavior, validate_behavior
     s = _scenario(args.scenario)
-    b = Behavior.from_json(s, _load(args.behavior))
+    b = _load(args.behavior, lambda data: Behavior.from_json(s, data))
     rep = validate_behavior(s, b, tol=args.tol)
     _report("validate", {"tol": args.tol, "mode": b.mode}, rep.to_json(s))
     return 0 if rep.ok else 2
@@ -95,7 +100,7 @@ def cmd_member(args):
     from .polytope import membership_test
     from .scenario import Behavior
     s = _scenario(args.scenario)
-    b = Behavior.from_json(s, _load(args.behavior))
+    b = _load(args.behavior, lambda data: Behavior.from_json(s, data))
     res = membership_test(b, s, tol=args.tol, budget=args.budget)
     _report("member", {"tol": args.tol, "budget": args.budget}, res.to_json(s))
     return 0
@@ -104,7 +109,7 @@ def cmd_member(args):
 def cmd_graph(args):
     from .graphs import (Graph, contextuality_ratio, find_n_partition,
                          independence_number, lovasz_theta)
-    g = Graph.from_json(_load(args.graph))
+    g = _load(args.graph, Graph.from_json)
     if args.what == "alpha":
         result = {"alpha": independence_number(g, size_limit=args.limit)}
     elif args.what == "theta":
@@ -142,8 +147,7 @@ def cmd_qvalue(args):
 def cmd_dilate(args):
     import numpy as np
     from .quantum import mat_from_json, mat_to_json, neumark_dilation
-    data = _load(args.povm)
-    effects = [mat_from_json(e) for e in data["effects"]]
+    effects = _load(args.povm, lambda data: [mat_from_json(e) for e in data["effects"]])
     dil = neumark_dilation(effects)
     viso = dil.isometry
     residual = float(np.abs(viso.conj().T @ viso - np.eye(viso.shape[1])).max())
@@ -158,7 +162,7 @@ def cmd_dilate(args):
 
 def cmd_sic(args):
     from .quantum import SICSet, criticality_check, verify_sic
-    sic = SICSet.from_json(_load(args.sicset))
+    sic = _load(args.sicset, SICSet.from_json)
     if args.what == "verify":
         rep = verify_sic(sic, sample_states=args.samples, seed=args.seed)
         _report("sic", {"what": "verify", "samples": args.samples},
@@ -180,7 +184,7 @@ def cmd_map(args):
     from .graphs import Partition
     s = _scenario(args.scenario)
     ineq = _inequality(s, args.inequality)
-    part = Partition.from_json(_load(args.partition)) if args.partition else None
+    part = _load(args.partition, Partition.from_json) if args.partition else None
     rep = map_report(s, ineq, partition=part, with_quantum=args.quantum,
                      dim=args.dim, restarts=args.restarts, seed=args.seed,
                      budget=args.budget)

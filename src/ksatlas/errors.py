@@ -63,7 +63,7 @@ class ConvergenceFailure(ResourceError):
     pass
 
 
-class NotInEventForm(ValidationError):
+class InvalidTolerance(ValidationError):
     pass
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotInEventForm, SizeLimitExceeded
+from .errors import ConvergenceFailure, InvalidEdge, InvalidTolerance, SizeLimitExceeded
 
 __all__ = [
     "Graph",
@@ -47,9 +47,9 @@ def _canon_edges(n, edges):
     out = set()
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+            raise InvalidEdge(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
+            raise InvalidEdge(f"self-loop at vertex {i}")
         out.add((min(i, j), max(i, j)))
     return tuple(sorted(out))
 
@@ -420,7 +420,7 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     if graph.n > size_limit:
         raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidTolerance("tol must be positive")
     n = graph.n
     if n == 0:
         return (0.0, 0.0)
@@ -541,8 +541,6 @@ def event_form(inequality, scenario):
             dense = {a: c - low for a, c in dense.items()}
         for asg in grid:
             c = dense[asg]
-            if c < 0:
-                raise NotInEventForm("negative coefficient survived conversion")
             if c > 0:
                 events.append((ctx, asg))
                 weights.append(c)

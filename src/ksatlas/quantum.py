@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 ATOL = 1e-10
+SEESAW_FTOL = 1e-13
 
 
 # -- small dense linear algebra helpers ----------------------------------------
@@ -142,7 +143,7 @@ class QuantumModel:
         return cls(d, state, effects, flags)
 
 
-def validate_model(model, scenario, atol=ATOL):
+def validate_model(model, scenario):
     """Shape, positivity, completeness, PVM and edge-commutation checks."""
     d = model.dim
     rho = model.density()
@@ -161,34 +162,34 @@ def validate_model(model, scenario, atol=ATOL):
         for e in eff:
             if e.shape != (d, d):
                 raise InvalidModel(f"measurement {k}: bad effect shape {e.shape}")
-            if np.linalg.eigvalsh(herm(e))[0] < -atol:
+            if np.linalg.eigvalsh(herm(e))[0] < -ATOL:
                 raise InvalidModel(f"measurement {k}: effect not psd")
             total += e
-        if np.abs(total - np.eye(d)).max() > atol:
+        if np.abs(total - np.eye(d)).max() > ATOL:
             raise InvalidModel(f"measurement {k}: effects do not sum to identity")
         if model.pvm_flags and model.pvm_flags[k]:
             for a, ea in enumerate(eff):
-                if np.abs(ea @ ea - ea).max() > atol:
+                if np.abs(ea @ ea - ea).max() > ATOL:
                     raise InvalidModel(f"measurement {k}: effect {a} not idempotent")
                 for eb in eff[a + 1:]:
-                    if np.abs(ea @ eb).max() > atol:
+                    if np.abs(ea @ eb).max() > ATOL:
                         raise InvalidModel(f"measurement {k}: projectors not orthogonal")
     for i, j in scenario.compat.edges:
         for ea in model.effects[i]:
             for eb in model.effects[j]:
-                if np.abs(ea @ eb - eb @ ea).max() > atol:
+                if np.abs(ea @ eb - eb @ ea).max() > ATOL:
                     raise NonCommutingContext(
                         f"effects of compatible measurements {i},{j} do not commute")
 
 
-def quantum_behavior(model, scenario, atol=ATOL):
+def quantum_behavior(model, scenario):
     """Joint probabilities per maximal context from commuting effects.
 
     P(a,b,...|ctx) = Tr(rho E_a E_b ...) with effects multiplied in
     ascending measurement-index order; commutation makes the order
     irrelevant, fixing it keeps results bit-reproducible.
     """
-    validate_model(model, scenario, atol=atol)
+    validate_model(model, scenario)
     rho = model.density()
     tables = {}
     for ctx in maximal_contexts(scenario):
@@ -223,7 +224,7 @@ class DilationResult:
         return float(np.linalg.norm(w[off:off + r]) ** 2)
 
 
-def neumark_dilation(effects, atol=ATOL):
+def neumark_dilation(effects):
     """Dilate a POVM to a projective measurement on dimension sum-of-ranks.
 
     Row k of the isometry block for effect E is sqrt(lam) v^dagger over
@@ -233,15 +234,17 @@ def neumark_dilation(effects, atol=ATOL):
     choosing a rank.
     """
     effects = [np.asarray(e, dtype=complex) for e in effects]
+    if not effects:
+        raise NotAPOVM("a POVM needs at least one effect")
     d = effects[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
     for e in effects:
         if e.shape != (d, d):
             raise NotAPOVM("effects must share one square shape")
-        if np.linalg.eigvalsh(herm(e))[0] < -atol:
+        if np.linalg.eigvalsh(herm(e))[0] < -ATOL:
             raise NotAPOVM("effect has a negative eigenvalue")
         total += e
-    if np.abs(total - np.eye(d)).max() > atol:
+    if np.abs(total - np.eye(d)).max() > ATOL:
         raise NotAPOVM("effects do not sum to the identity")
 
     rows = []
@@ -294,47 +297,39 @@ class SeesawResult:
 
 def _sym_product(mats):
     """Average of the operator product over all orderings."""
-    k = len(mats)
-    if k == 0:
-        raise ValueError("empty product")
-    if k == 1:
+    if len(mats) == 1:
         return mats[0]
     acc = np.zeros_like(mats[0])
-    for perm in itertools.permutations(range(k)):
-        p = mats[perm[0]]
-        for i in perm[1:]:
-            p = p @ mats[i]
+    for perm in itertools.permutations(mats):
+        p = perm[0]
+        for m in perm[1:]:
+            p = p @ m
         acc = acc + p
-    return acc / math.factorial(k)
+    return acc / math.factorial(len(mats))
 
 
 def _objective_operator(subsets, const, observables, dim):
     b = const * np.eye(dim, dtype=complex)
     for members, coef in subsets.items():
         b = b + coef * _sym_product([observables[m] for m in members])
-    return herm(b)
+    return b
 
 
-def _effective_operator(subsets, observables, rho, target, dim):
-    """Hermitian F with Tr(M_target F) the target-linear part of the
-    objective, under full symmetrization of each product."""
-    f = np.zeros((dim, dim), dtype=complex)
+def _effective_operator(subsets, observables, rho, target):
+    """F with Tr(M_target F) the target-linear part of the objective,
+    under full symmetrization of each product.
+
+    Tr(rho pre M_t post) = Tr(M_t post rho pre), and over the orderings
+    of a subset S containing t, post rho pre runs once through every
+    ordering of rho with the other members. So
+    F_t = sum over S containing t of c_S Sym(rho, M_{S minus t}).
+    """
+    f = np.zeros_like(rho)
     for members, coef in subsets.items():
-        if target not in members:
-            continue
-        k = len(members)
-        scale = coef / math.factorial(k)
-        for perm in itertools.permutations(members):
-            pos = perm.index(target)
-            pre = np.eye(dim, dtype=complex)
-            for m in perm[:pos]:
-                pre = pre @ observables[m]
-            post = np.eye(dim, dtype=complex)
-            for m in perm[pos + 1:]:
-                post = post @ observables[m]
-            # Tr(rho pre M post) = Tr(M post rho pre)
-            f = f + scale * (post @ rho @ pre)
-    return herm(f)
+        if target in members:
+            others = [observables[m] for m in members if m != target]
+            f = f + coef * _sym_product([rho, *others])
+    return f
 
 
 def _random_observable(dim, rng):
@@ -346,25 +341,30 @@ def _random_observable(dim, rng):
     return herm((q * signs) @ q.conj().T)
 
 
-def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0,
-               ftol=1e-13):
+def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     """Alternating maximization of a correlator inequality over dichotomic
     observables and a pure state of the given dimension.
 
     The inequality is expanded into products of +-1 observables (raising
     NotDichotomic if any measurement is not +-1 valued); products are
     fully symmetrized so the objective stays Hermitian off the commuting
-    manifold. State updates take the top eigenvector of the objective
-    operator, observable updates the polar sign of the effective
-    operator; both are exact block maximizers, so the value is monotone
-    within a run. The best value over all restarts is a lower bound on
-    the quantum maximum.
+    manifold (the orderings are closed under reversal). State updates
+    take the top eigenvector of the objective operator, observable
+    updates the polar sign of the effective operator
+    F_t = sum over subsets S containing t of c_S Sym(rho, M_{S minus t}),
+    since Tr(rho pre M_t post) = Tr(M_t post rho pre); both are exact
+    block maximizers, so the value is monotone within a run. A run stops
+    when the value moves by at most SEESAW_FTOL relative to 1 + |value|.
+    The best value over all restarts is a lower bound on the quantum
+    maximum.
     """
     for outs in scenario.outcomes:
         if set(outs) != {1, -1}:
             raise NotDichotomic("seesaw requires +-1 outcomes on every measurement")
     if dim < 2:
         raise InvalidModel("dim must be >= 2")
+    if restarts < 1:
+        raise InvalidModel("restarts must be >= 1")
     subsets_frac, const_frac = correlator_decomposition(scenario, inequality)
     subsets = {k: float(v) for k, v in subsets_frac.items()}
     const = float(const_frac)
@@ -388,12 +388,12 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0,
             state = vecs[:, -1]
             rho = np.outer(state, state.conj())
             for m in range(n_meas):
-                f = _effective_operator(subsets, observables, rho, m, dim)
+                f = _effective_operator(subsets, observables, rho, m)
                 observables[m] = polar_sign(f)
             val = float(vals[-1])
             if val < prev - 1e-9:
                 raise ConvergenceFailure("seesaw lost monotonicity")
-            if abs(val - prev) <= ftol * (1.0 + abs(val)):
+            if abs(val - prev) <= SEESAW_FTOL * (1.0 + abs(val)):
                 converged = True
                 break
             prev = val
@@ -466,10 +466,10 @@ class SICSet:
                    frac(data["mu"]), float(data["q"]))
 
 
-def observable_effects(observable, atol=1e-9):
+def observable_effects(observable):
     """Effects (E_+, E_-) of a +-1 observable (Hermitian involution)."""
     m = np.asarray(observable, dtype=complex)
-    if np.abs(m @ m - np.eye(m.shape[0])).max() > atol:
+    if np.abs(m @ m - np.eye(m.shape[0])).max() > 1e-9:
         raise InvalidModel("observable is not an involution")
     eye = np.eye(m.shape[0])
     return (0.5 * (eye + m), 0.5 * (eye - m))
@@ -495,7 +495,7 @@ class SicReport:
     q_estimate: float                 # Tr(W)/d
     identity_deviation: float         # ||W - q I||_F
     min_eigenvalue: float
-    sample_min: float
+    sample_min: float | None          # None when no state was sampled
     mu: Fraction
 
     def to_json(self):
@@ -533,10 +533,8 @@ def verify_sic(sic_set, sample_states=100, seed=0):
     vals = np.linalg.eigvalsh(w)
     lam_min = float(vals[0])
     rng = np.random.default_rng(seed)
-    sample_min = math.inf
-    for _ in range(sample_states):
-        psi = random_state(d, rng)
-        sample_min = min(sample_min, float((psi.conj() @ w @ psi).real))
+    psis = (random_state(d, rng) for _ in range(sample_states))
+    sample_min = min((float((psi.conj() @ w @ psi).real) for psi in psis), default=None)
     is_sic = lam_min > float(sic_set.mu) + 1e-9
     return SicReport(is_sic, q_est, dev, lam_min, sample_min, sic_set.mu)
 

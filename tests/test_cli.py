@@ -161,3 +161,69 @@ def test_theta_failure_exits_3_without_traceback(tmp_path, capsys):
     assert code == 3
     assert err.startswith("resource limit: theta interval")
     assert "Traceback" not in err
+
+
+# one argv per input file slot; "BAD" gets the malformed file, and files
+# after it are never read
+_FILE_SLOTS = [
+    ["bound", "BAD", "chsh.inequality.json"],
+    ["bound", "chsh.scenario.json", "BAD"],
+    ["tight", "BAD", "chsh.inequality.json"],
+    ["tight", "chsh.scenario.json", "BAD"],
+    ["member", "BAD", "behavior.json"],
+    ["member", "pearle.scenario.json", "BAD"],
+    ["validate", "pearle.scenario.json", "BAD"],
+    ["map", "BAD", "pearle.gamma.json"],
+    ["map", "pearle.scenario.json", "BAD"],
+    ["map", "pearle.scenario.json", "pearle.gamma.json", "--partition", "BAD"],
+    ["qvalue", "chsh.scenario.json", "BAD", "--dim", "2"],
+    ["graph", "alpha", "BAD"],
+    ["dilate", "BAD"],
+    ["sic", "verify", "BAD"],
+]
+
+
+@pytest.mark.parametrize("content", [{}, [1, 2]], ids=["object", "list"])
+@pytest.mark.parametrize("argv", _FILE_SLOTS, ids=lambda a: f"{a[0]}-{a.index('BAD')}")
+def test_malformed_input_file_exits_2_without_traceback(workdir, capsys, argv, content):
+    (workdir / "bad.json").write_text(json.dumps(content))
+    code = main(["bad.json" if a == "BAD" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["graph", "alpha"], {"n": 3, "edges": [[0, 7]]}),
+    (["dilate"], {"effects": []}),
+], ids=["edge-out-of-range", "no-effects"])
+def test_invalid_input_file_exits_2(capsys, tmp_path, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    code = main(argv + [str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["qvalue", "--dim", "2"], ["map", "--quantum"]],
+                         ids=lambda c: c[0])
+def test_zero_restarts_exits_2(workdir, capsys, command):
+    code = main(command[:1] + ["chsh.scenario.json", "chsh.inequality.json"]
+                + command[1:] + ["--restarts", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: restarts must be >= 1\n"
+
+
+def test_theta_zero_tol_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "c5.json"
+    gpath.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+    code = main(["graph", "theta", str(gpath), "--tol", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tol must be positive\n"
+
+
+def test_sic_verify_without_samples_writes_null(workdir, capsys):
+    code, doc = run(capsys, "sic", "verify", "pm_square.sicset.json", "--samples", "0")
+    assert code == 0 and doc["result"]["is_sic"]
+    assert doc["result"]["sample_min"] is None

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksatlas.bridge import chsh_example, n_cycle, n_cycle_quantum_model, pm_square
 from ksatlas.errors import (
@@ -13,6 +16,9 @@ from ksatlas.errors import (
 )
 from ksatlas.quantum import (
     QuantumModel,
+    _effective_operator,
+    _objective_operator,
+    _random_observable,
     SICSet,
     criticality_check,
     eigh_sorted,
@@ -212,6 +218,62 @@ def test_seesaw_model_is_consistent_with_its_value():
     for eff_pair in res.model.effects:
         total = eff_pair[0] + eff_pair[1]
         assert np.abs(total - np.eye(2)).max() < 1e-9
+
+
+def _pre_post_effective_operator(subsets, observables, rho, target, dim):
+    """F_t as an explicit sum over orderings: an ordering pre M_t post of
+    a subset contributes post rho pre, since Tr(rho pre M_t post) =
+    Tr(M_t post rho pre)."""
+    f = np.zeros((dim, dim), dtype=complex)
+    for members, coef in subsets.items():
+        if target not in members:
+            continue
+        scale = coef / math.factorial(len(members))
+        for perm in itertools.permutations(members):
+            pos = perm.index(target)
+            pre = np.eye(dim, dtype=complex)
+            for m in perm[:pos]:
+                pre = pre @ observables[m]
+            post = np.eye(dim, dtype=complex)
+            for m in perm[pos + 1:]:
+                post = post @ observables[m]
+            f = f + scale * (post @ rho @ pre)
+    return herm(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_effective_operator_is_the_target_linear_part(data):
+    dim = data.draw(st.integers(2, 4))
+    n_meas = data.draw(st.integers(1, 5))
+    members = st.sets(st.integers(0, n_meas - 1), min_size=1, max_size=min(4, n_meas))
+    keys = data.draw(st.lists(members, min_size=1, max_size=6, unique_by=frozenset))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    subsets = {tuple(sorted(k)): float(rng.normal()) for k in keys}
+    observables = [_random_observable(dim, rng) for _ in range(n_meas)]
+    psi = random_state(dim, rng)
+    rho = np.outer(psi, psi.conj())
+    x = herm(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+    def value(target, m_t):
+        obs = list(observables)
+        obs[target] = m_t
+        return np.trace(rho @ _objective_operator(subsets, 0.0, obs, dim)).real
+
+    for target in range(n_meas):
+        f = _effective_operator(subsets, observables, rho, target)
+        linear = value(target, x) - value(target, np.zeros((dim, dim), dtype=complex))
+        assert abs(np.trace(x @ f).real - linear) < 1e-12
+        reference = _pre_post_effective_operator(subsets, observables, rho, target, dim)
+        assert np.abs(f - reference).max() < 1e-12
+
+
+def test_seesaw_reaches_the_pm_witness_value(pm):
+    # products of three observables per context: the seesaw finds the
+    # state-independent value Tr(W)/d = 6 of the Peres-Mermin square
+    res = seesaw_max(pm.witness, pm.scenario, dim=4, restarts=4, seed=1)
+    assert abs(res.value - 6) < 1e-6
+    assert res.converged
 
 
 def test_seesaw_requires_dichotomic_outcomes():
