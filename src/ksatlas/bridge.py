@@ -31,7 +31,13 @@ from .graphs import (
     enumerate_n_partitions,
     is_complete_n_partite,
 )
-from .polytope import DEFAULT_BUDGET, classical_bound, tightness_test
+from .polytope import (
+    DEFAULT_BUDGET,
+    _eliminate,
+    _face_verdict,
+    classical_bound,
+    tightness_test,
+)
 from .quantum import (
     SICSet,
     observable_effects,
@@ -201,7 +207,8 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
     bound depends only on the outcome counts and the terms (the graph only
     decides which terms are valid, and the closure keeps every source
     context). The target inequality therefore sits at the source's
-    elimination maximum; its tightness verdict is computed on the target,
+    elimination maximum, and the source's maximizers are the target's
+    face; only its rank is computed again, on the target's contexts,
     whose polytope differs. When the source is already complete n-partite
     the map is the identity (ids included) and the source verdict is
     reused; otherwise measurements get party-prefixed identifiers.
@@ -226,14 +233,16 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
         ]
         target = build_scenario(ids, scenario.outcomes, closure_edges)
 
-    src_tight = tightness_test(inequality, scenario, budget=budget)
+    max_val, elimination = _eliminate(inequality, scenario, budget)
+    src_tight = _face_verdict(inequality, scenario, max_val, elimination, budget)
     # indices unchanged, only ids renamed
-    target_ineq = Inequality(inequality.terms, src_tight.classical_bound, "LR",
-                             inequality.label)
-    if identity and src_tight.classical_bound == inequality.bound:
+    target_ineq = Inequality(inequality.terms, max_val, "LR", inequality.label)
+    if identity and max_val == inequality.bound:
         tgt_tight = src_tight
     else:
-        tgt_tight = tightness_test(target_ineq, target, budget=budget)
+        # same terms and outcome counts: the source's elimination is the
+        # target's, and only the face walk sees the target's contexts
+        tgt_tight = _face_verdict(target_ineq, target, max_val, elimination, budget)
     return MappingReport(
         direction="ks-to-bell",
         connection="one-to-one" if identity else "partial",

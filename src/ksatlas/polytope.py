@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import best_assignment, maximizers
-from .errors import BudgetExceeded, NoDisturbanceViolated
+from .errors import BudgetExceeded, InvalidTolerance, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
@@ -191,11 +191,17 @@ def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
     when the scaled coefficients are too wide for those, on Python ints.
     budget caps the entries of the largest elimination table.
     """
+    return _eliminate(inequality, scenario, budget)[0]
+
+
+def _eliminate(inequality, scenario, budget):
+    """(maximum, elimination) of the inequality's integer form; the
+    elimination record gives the maximizers."""
     check_inequality(scenario, inequality)
     terms, denom = _int_terms(scenario, inequality)
     radices, _ = _assignment_space(scenario)
-    best, _ = best_assignment(radices, terms, budget)
-    return Fraction(best, denom)
+    best, elimination = best_assignment(radices, terms, budget)
+    return Fraction(best, denom), elimination
 
 
 def polytope_dimension(scenario):
@@ -276,19 +282,22 @@ def _affine_rank(coords):
 def tightness_test(inequality, scenario, budget=DEFAULT_BUDGET):
     """Facet verdict for the inequality at its stored bound, all exact:
     one elimination gives the bound and the face's vertices. budget caps
-    the coordinate count D, the largest elimination table and, with
+    the largest elimination table, the coordinate count D and, with
     MEMORY_BUDGET // D, the face, each before the work it guards."""
-    check_inequality(scenario, inequality)
+    max_val, elimination = _eliminate(inequality, scenario, budget)
+    return _face_verdict(inequality, scenario, max_val, elimination, budget)
+
+
+def _face_verdict(inequality, scenario, max_val, elimination, budget):
+    """tightness_test's verdict from an elimination already run: max_val
+    and elimination may come from another scenario with the same
+    outcome counts and terms, whose maximizers are the same assignments."""
     radices, _ = _assignment_space(scenario)
     contexts = [c.members for c in maximal_contexts(scenario)]
     size = _coordinate_count(contexts, radices)
     if size > budget:
         raise BudgetExceeded(f"{size} coordinates exceed budget {budget}")
     poly_dim = polytope_dimension(scenario)  # admitted: walks at most D subsets
-    terms, denom = _int_terms(scenario, inequality)
-    best, elimination = best_assignment(radices, terms, budget)
-    max_val = Fraction(best, denom)
-
     if max_val > inequality.bound:
         return TightnessReport("violated-by-vertex", max_val, 0, -1, poly_dim)
     if max_val < inequality.bound:
@@ -333,8 +342,11 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     (default 1e-9) around each coordinate, which makes the verdict
     approximate in the documented sense. Non-members come with an exact
     separating inequality respected by every vertex and strictly violated
-    by every behavior within tol of the (rationalized) behavior.
+    by every behavior within tol of the (rationalized) behavior. A
+    negative or non-finite tol raises InvalidTolerance.
     """
+    if tol is not None and not 0 <= tol < math.inf:
+        raise InvalidTolerance("tol must be finite and >= 0")
     report = validate_behavior(scenario, behavior,
                                tol=None if behavior.mode == "rational" else (tol or 1e-9))
     if not report.ok:

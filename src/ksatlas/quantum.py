@@ -62,20 +62,25 @@ SEESAW_FTOL = 1e-13
 # -- small dense linear algebra helpers ----------------------------------------
 
 def herm(a):
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def eigh_sorted(a):
-    """Ascending eigendecomposition of the Hermitian part."""
+    """Ascending eigendecomposition of the Hermitian part (of each matrix
+    of a stack)."""
     return np.linalg.eigh(herm(a))
 
 
 def polar_sign(a):
-    """Hermitian sign factor of a Hermitian operator: eigenvalues mapped
-    to +-1 (zero goes to +1, which keeps the result deterministic)."""
+    """Hermitian sign factor of a Hermitian operator (of each matrix of a
+    stack): eigenvalues mapped to +-1 (zero goes to +1, which keeps the
+    result deterministic)."""
     vals, vecs = eigh_sorted(a)
     signs = np.where(vals < 0.0, -1.0, 1.0)
-    return (vecs * signs) @ vecs.conj().T
+    # signs[..., None, :] scales each matrix's columns by its own signs;
+    # plain `vecs * signs` broadcasts without error for a stack of d
+    # matrices of size d and pairs each matrix with another one's signs
+    return (vecs * signs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def random_state(dim, rng):
@@ -353,10 +358,18 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     updates the polar sign of the effective operator
     F_t = sum over subsets S containing t of c_S Sym(rho, M_{S minus t}),
     since Tr(rho pre M_t post) = Tr(M_t post rho pre); both are exact
-    block maximizers, so the value is monotone within a run. A run stops
-    when the value moves by at most SEESAW_FTOL relative to 1 + |value|.
-    The best value over all restarts is a lower bound on the quantum
-    maximum.
+    block maximizers, so the value is monotone within a run.
+
+    The restarts are independent and run as one stack: every restart's
+    starting observables are drawn up front (restart by restart, so the
+    random stream is that of running them one after another), and each
+    step is one stacked eigendecomposition of the objective and one
+    stacked polar sign per measurement. Within a step the measurements
+    update in order, each from the ones already updated. A restart
+    leaves the stack when its value moves by at most SEESAW_FTOL
+    relative to 1 + |value|; iterations sums the restarts' steps. The
+    best value over all restarts (the first restart reaching it gives the
+    model) is a lower bound on the quantum maximum.
     """
     for outs in scenario.outcomes:
         if set(outs) != {1, -1}:
@@ -371,47 +384,56 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     n_meas = len(scenario.measurements)
     rng = np.random.default_rng(seed)
 
-    best_val = -np.inf
-    best_obs = None
-    best_state = None
-    best_conv = False
+    # per measurement, the (R, d, d) stack of every restart's observable,
+    # drawn restart by restart
+    final = [np.empty((restarts, dim, dim), dtype=complex) for _ in range(n_meas)]
+    for r in range(restarts):
+        for m in range(n_meas):
+            final[m][r] = _random_observable(dim, rng)
+    # the live restarts' rows; polar_sign makes new arrays, so `final` is
+    # written only when a restart leaves
+    observables = list(final)
+    live = np.arange(restarts)
+    prev = np.full(restarts, -np.inf)
+    converged = np.zeros(restarts, dtype=bool)
     total_iters = 0
 
-    for _ in range(restarts):
-        observables = [_random_observable(dim, rng) for _ in range(n_meas)]
-        prev = -np.inf
-        converged = False
-        for it in range(iters):
-            total_iters += 1
-            b = _objective_operator(subsets, const, observables, dim)
-            vals, vecs = eigh_sorted(b)
-            state = vecs[:, -1]
-            rho = np.outer(state, state.conj())
-            for m in range(n_meas):
-                f = _effective_operator(subsets, observables, rho, m)
-                observables[m] = polar_sign(f)
-            val = float(vals[-1])
-            if val < prev - 1e-9:
-                raise ConvergenceFailure("seesaw lost monotonicity")
-            if abs(val - prev) <= SEESAW_FTOL * (1.0 + abs(val)):
-                converged = True
-                break
-            prev = val
-        b = _objective_operator(subsets, const, observables, dim)
-        vals, vecs = eigh_sorted(b)
-        val = float(vals[-1])
-        state = vecs[:, -1]
-        if val > best_val:
-            best_val = val
-            best_obs = [o.copy() for o in observables]
-            best_state = state
-            best_conv = converged
+    def top(obs, stack):
+        # a constant objective (no subsets) is one matrix for the whole stack
+        b = _objective_operator(subsets, const, obs, dim)
+        return eigh_sorted(np.broadcast_to(b, (stack, dim, dim)))
 
+    for _ in range(iters):
+        if not live.size:
+            break
+        total_iters += live.size
+        vals, vecs = top(observables, live.size)
+        state = vecs[..., -1]
+        rho = state[:, :, None] * state.conj()[:, None, :]
+        for m in range(n_meas):
+            observables[m] = polar_sign(_effective_operator(subsets, observables, rho, m))
+        val = vals[:, -1]
+        if np.any(val < prev - 1e-9):
+            raise ConvergenceFailure("seesaw lost monotonicity")
+        done = np.abs(val - prev) <= SEESAW_FTOL * (1.0 + np.abs(val))
+        prev = val
+        if done.any():
+            converged[live[done]] = True
+            for m in range(n_meas):
+                final[m][live[done]] = observables[m][done]
+                observables[m] = observables[m][~done]
+            live, prev = live[~done], prev[~done]
+    for m in range(n_meas):
+        final[m][live] = observables[m]
+
+    vals, vecs = top(final, restarts)
+    best = int(np.argmax(vals[:, -1]))
     effects = tuple(
-        (0.5 * (np.eye(dim) + o), 0.5 * (np.eye(dim) - o)) for o in best_obs
+        (0.5 * (np.eye(dim) + o[best]), 0.5 * (np.eye(dim) - o[best])) for o in final
     )
-    model = QuantumModel(dim, best_state, effects)
-    return SeesawResult(best_val, model, best_conv, restarts, total_iters)
+    model = QuantumModel(dim, vecs[best, :, -1], effects)
+    return SeesawResult(float(vals[best, -1]), model, bool(converged[best]),
+                        restarts, total_iters)
 
 
 # -- state-independent witness sets ------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from functools import lru_cache
 from .errors import (
     DuplicateMeasurement,
     InvalidEdge,
+    InvalidTolerance,
     MissingContextTable,
     NegativeProbability,
     ScenarioMismatch,
@@ -381,10 +383,13 @@ class ValidationReport:
 def validate_behavior(scenario, behavior, tol=None):
     """Normalization and no-disturbance checks.
 
-    Rational mode compares exactly (tol forced to 0); float mode uses the
-    given tolerance (default 1e-9). Missing tables and negative entries
+    Rational mode compares exactly (tol, default 0, as a Fraction); float
+    mode uses the given tolerance (default 1e-9). A negative or non-finite
+    tol raises InvalidTolerance. Missing tables and negative entries
     raise; normalization and marginal mismatches are reported.
     """
+    if tol is not None and not 0 <= tol < math.inf:
+        raise InvalidTolerance("tol must be finite and >= 0")
     if behavior.scenario != scenario:
         raise ScenarioMismatch("behavior belongs to a different scenario")
     exact = behavior.mode == "rational"

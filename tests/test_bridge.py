@@ -386,11 +386,11 @@ def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
         f()
         return dict(calls)
 
-    # one verdict per side; the target bound is the source's maximum
+    # one elimination per map: the target's bound and face are the source's
     assert work(lambda: ks_to_bell(pearle.scenario, pearle.gamma,
-                                   pearle.partition)) == {"elim": 2}
-    assert work(lambda: map_report(pearle.scenario, pearle.gamma)) == {"elim": 2}
-    assert work(pearle_hexagon) == {"elim": 3}
+                                   pearle.partition)) == {"elim": 1}
+    assert work(lambda: map_report(pearle.scenario, pearle.gamma)) == {"elim": 1}
+    assert work(pearle_hexagon) == {"elim": 2}
     # the lift and each removal's lift; no reduced witness bound
     assert work(lambda: sic_to_bell(dataclasses.replace(pm, embedded=(0,)))) \
         == {"elim": 2}
@@ -400,4 +400,4 @@ def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
     assert work(lambda: map_report(*chsh, with_quantum=True, restarts=2)) \
         == {"elim": 1, "seesaw": 1}
     assert work(lambda: map_report(pearle.scenario, pearle.gamma, with_quantum=True,
-                                   restarts=2)) == {"elim": 2, "seesaw": 1}
+                                   restarts=2)) == {"elim": 1, "seesaw": 1}

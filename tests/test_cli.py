@@ -223,6 +223,23 @@ def test_theta_zero_tol_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: tol must be positive\n"
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("command", ["member", "validate"])
+def test_invalid_tol_exits_2(workdir, capsys, tmp_path, command, tol):
+    # the uniform behavior is valid and in the polytope: a wrong verdict
+    # would exit 0 (member) or report ok false (validate)
+    from ksatlas.scenario import Scenario, uniform_behavior
+    scenario = Scenario.from_json(json.loads(
+        (tmp_path / "chsh.scenario.json").read_text()))
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(uniform_behavior(scenario).to_json()))
+    assert main([command, "chsh.scenario.json", str(path)]) == 0
+    capsys.readouterr()
+    code = main([command, "chsh.scenario.json", str(path), "--tol", tol])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tol must be finite and >= 0\n"
+
+
 def test_sic_verify_without_samples_writes_null(workdir, capsys):
     code, doc = run(capsys, "sic", "verify", "pm_square.sicset.json", "--samples", "0")
     assert code == 0 and doc["result"]["is_sic"]

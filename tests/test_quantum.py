@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ksatlas.bridge import chsh_example, n_cycle, n_cycle_quantum_model, pm_square
 from ksatlas.errors import (
+    ConvergenceFailure,
     InvalidSet,
     NonCommutingContext,
     NotAPOVM,
@@ -15,6 +16,7 @@ from ksatlas.errors import (
     RankDeficiencyAmbiguous,
 )
 from ksatlas.quantum import (
+    SEESAW_FTOL,
     QuantumModel,
     _effective_operator,
     _objective_operator,
@@ -33,7 +35,12 @@ from ksatlas.quantum import (
     verify_sic,
     witness_operator,
 )
-from ksatlas.scenario import build_scenario, evaluate, validate_behavior
+from ksatlas.scenario import (
+    build_scenario,
+    correlator_decomposition,
+    evaluate,
+    validate_behavior,
+)
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,6 +84,25 @@ def test_polar_sign_is_involution():
     a = herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     s = polar_sign(a)
     assert np.abs(s @ s - np.eye(4)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacks_give_per_matrix_results(data):
+    # R = d is the case where a misaligned broadcast of the signs would
+    # pass silently
+    d = data.draw(st.integers(2, 4))
+    r = data.draw(st.one_of(st.just(d), st.integers(1, 6)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    stack = herm(rng.normal(size=(r, d, d)) + 1j * rng.normal(size=(r, d, d)))
+    vals, vecs = eigh_sorted(stack)
+    signs = polar_sign(stack)
+    assert vals.shape == (r, d) and vecs.shape == signs.shape == (r, d, d)
+    for k in range(r):
+        one_vals, one_vecs = eigh_sorted(stack[k])
+        assert np.array_equal(vals[k], one_vals)
+        assert np.array_equal(vecs[k], one_vecs)
+        assert np.array_equal(signs[k], polar_sign(stack[k]))
 
 
 # -- quantum behaviors ----------------------------------------------------------
@@ -274,6 +300,62 @@ def test_seesaw_reaches_the_pm_witness_value(pm):
     res = seesaw_max(pm.witness, pm.scenario, dim=4, restarts=4, seed=1)
     assert abs(res.value - 6) < 1e-6
     assert res.converged
+
+
+def _sequential_seesaw_max(inequality, scenario, dim, restarts, iters=300, seed=0):
+    """seesaw_max with the restarts run one after another: (value,
+    iterations, converged, state, observables) of the best restart."""
+    subsets_frac, const_frac = correlator_decomposition(scenario, inequality)
+    subsets = {k: float(v) for k, v in subsets_frac.items()}
+    const = float(const_frac)
+    n_meas = len(scenario.measurements)
+    rng = np.random.default_rng(seed)
+    best = (-np.inf,)
+    total_iters = 0
+    for _ in range(restarts):
+        observables = [_random_observable(dim, rng) for _ in range(n_meas)]
+        prev = -np.inf
+        converged = False
+        for _ in range(iters):
+            total_iters += 1
+            vals, vecs = eigh_sorted(_objective_operator(subsets, const, observables, dim))
+            state = vecs[:, -1]
+            rho = np.outer(state, state.conj())
+            for m in range(n_meas):
+                observables[m] = polar_sign(_effective_operator(subsets, observables, rho, m))
+            val = float(vals[-1])
+            if val < prev - 1e-9:
+                raise ConvergenceFailure("seesaw lost monotonicity")
+            if abs(val - prev) <= SEESAW_FTOL * (1.0 + abs(val)):
+                converged = True
+                break
+            prev = val
+        vals, vecs = eigh_sorted(_objective_operator(subsets, const, observables, dim))
+        if float(vals[-1]) > best[0]:
+            best = (float(vals[-1]), converged, vecs[:, -1], list(observables))
+    value, converged, state, observables = best
+    return value, total_iters, converged, state, observables
+
+
+def _seesaw_cases():
+    for n in range(4, 9):
+        for dim in (2, 4):
+            yield pytest.param(*n_cycle(n), dim, 3, n, id=f"cycle{n}-d{dim}")
+    yield pytest.param(*chsh_example(), 4, 10, 2, id="chsh-d4")
+    pm = pm_square()
+    yield pytest.param(pm.scenario, pm.witness, 4, 2, 1, id="pm-d4")
+
+
+@pytest.mark.parametrize("scenario,ineq,dim,restarts,seed", _seesaw_cases())
+def test_stacked_seesaw_matches_sequential_restarts(scenario, ineq, dim, restarts, seed):
+    res = seesaw_max(ineq, scenario, dim=dim, restarts=restarts, seed=seed)
+    value, iterations, converged, state, observables = _sequential_seesaw_max(
+        ineq, scenario, dim, restarts, seed=seed)
+    assert (res.value, res.iterations, res.converged) == (value, iterations, converged)
+    assert np.array_equal(res.model.state, state)
+    for (plus, minus), o in zip(res.model.effects, observables):
+        assert np.array_equal(plus, 0.5 * (np.eye(dim) + o))
+        assert np.array_equal(minus, 0.5 * (np.eye(dim) - o))
 
 
 def test_seesaw_requires_dichotomic_outcomes():
