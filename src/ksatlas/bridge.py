@@ -39,12 +39,13 @@ from .polytope import (
     tightness_test,
 )
 from .quantum import (
+    QuantumModel,
     SICSet,
+    _drop_measurement,
     observable_effects,
     seesaw_max,
     validate_model,
     verify_sic,
-    witness_operator,
 )
 from .scenario import (
     Inequality,
@@ -52,6 +53,7 @@ from .scenario import (
     build_scenario,
     correlator_decomposition,
     correlator_inequality,
+    frac_str,
     maximal_contexts,
 )
 
@@ -109,7 +111,6 @@ class MappingReport:
             return self.source_tightness.verdict == self.target_tightness.verdict
 
     def to_json(self):
-        from .scenario import frac_str
         out = {
             "direction": self.direction,
             "connection": self.connection,
@@ -143,14 +144,11 @@ class MappingReport:
         return out
 
 
-def _require_bell(scenario):
-    partition = is_complete_n_partite(scenario.compat)
-    if partition is None or partition.n_parts < 2:
-        raise NotABellScenario(
-            "compatibility graph is not complete n-partite with n >= 2")
-    if partition.undersized_parts():
-        raise NotABellScenario("a Bell scenario needs >= 2 measurements per party")
-    return partition
+def _bell_partition(graph):
+    """The parties of a Bell compatibility graph (complete n-partite, with
+    n >= 2 parts of >= 2 measurements each), or None for any other graph."""
+    p = is_complete_n_partite(graph)
+    return p if p is not None and p.n_parts >= 2 and not p.undersized_parts() else None
 
 
 def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
@@ -159,7 +157,10 @@ def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
     compatibility. Both sides share terms, scenario and bound, so one
     tightness test gives the verdict and, as its elimination maximum,
     the classical bound of both."""
-    partition = _require_bell(scenario)
+    partition = _bell_partition(scenario.compat)
+    if partition is None:
+        raise NotABellScenario("compatibility graph is not complete n-partite "
+                               "with >= 2 parties of >= 2 measurements each")
     target_ineq = inequality.relabeled(kind="NCHV")
     tight = tightness_test(inequality, scenario, budget=budget)
     return MappingReport(
@@ -175,7 +176,12 @@ def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
     )
 
 
-def _validate_partition(scenario, partition):
+def _party_closure(scenario, partition):
+    """The Bell scenario of a party partition of the measurements: the
+    complete n-partite closure of the compatibility graph over the parts,
+    with party-prefixed identifiers. When the scenario already is its
+    closure, the scenario itself is returned. The partition must be valid
+    (InvalidPartition, UndersizedPart otherwise)."""
     n = len(scenario.measurements)
     seen = set()
     for part in partition.parts:
@@ -193,6 +199,14 @@ def _validate_partition(scenario, partition):
     if partition.undersized_parts():
         raise UndersizedPart(
             "every party needs at least two (incompatible) measurements")
+    part_of = {m: k for k, part in enumerate(partition.parts) for m in part}
+    closure_edges = tuple(
+        (i, j) for i in range(n) for j in range(i + 1, n) if part_of[i] != part_of[j]
+    )
+    if set(closure_edges) == set(scenario.compat.edges):
+        return scenario
+    ids = [f"{PARTY_LETTERS[part_of[m]]}_{scenario.measurements[m]}" for m in range(n)]
+    return build_scenario(ids, scenario.outcomes, closure_edges)
 
 
 def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
@@ -213,26 +227,8 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
     the map is the identity (ids included) and the source verdict is
     reused; otherwise measurements get party-prefixed identifiers.
     """
-    _validate_partition(scenario, partition)
-    n_meas = len(scenario.measurements)
-    part_of = {}
-    for k, part in enumerate(partition.parts):
-        for m in part:
-            part_of[m] = k
-    closure_edges = tuple(
-        (i, j) for i in range(n_meas) for j in range(i + 1, n_meas)
-        if part_of[i] != part_of[j]
-    )
-    identity = set(closure_edges) == set(scenario.compat.edges)
-    if identity:
-        target = scenario
-    else:
-        ids = [
-            f"{PARTY_LETTERS[part_of[m]]}_{scenario.measurements[m]}"
-            for m in range(n_meas)
-        ]
-        target = build_scenario(ids, scenario.outcomes, closure_edges)
-
+    target = _party_closure(scenario, partition)
+    identity = target is scenario
     max_val, elimination = _eliminate(inequality, scenario, budget)
     src_tight = _face_verdict(inequality, scenario, max_val, elimination, budget)
     # indices unchanged, only ids renamed
@@ -258,7 +254,7 @@ def ks_to_bell(scenario, inequality, partition, budget=DEFAULT_BUDGET):
 
 # -- canned examples -----------------------------------------------------------
 
-def n_cycle(n, budget=DEFAULT_BUDGET):
+def n_cycle(n):
     """n dichotomic measurements on a cycle with the chained correlator
     expression; the classical bound is computed, not hardcoded."""
     if n < 4:
@@ -269,7 +265,7 @@ def n_cycle(n, budget=DEFAULT_BUDGET):
     )
     correlators = [((i, i + 1), 1) for i in range(n - 1)] + [((n - 1, 0), -1)]
     probe = correlator_inequality(scenario, correlators, 0, "NCHV", f"cycle-{n}")
-    return scenario, replace(probe, bound=classical_bound(probe, scenario, budget=budget))
+    return scenario, replace(probe, bound=classical_bound(probe, scenario))
 
 
 def n_cycle_quantum_model(n):
@@ -278,7 +274,6 @@ def n_cycle_quantum_model(n):
     maximally entangled two-qubit state. Reaches n cos(pi/n)."""
     if n < 4 or n % 2:
         raise TooSmall("closed-form cycle models exist for even n >= 4")
-    from .quantum import QuantumModel
 
     eye = np.eye(2, dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -298,18 +293,19 @@ def n_cycle_quantum_model(n):
     return QuantumModel(4, phi, tuple(effects))
 
 
-def pearle_hexagon(budget=DEFAULT_BUDGET):
+def pearle_hexagon():
     """The hexagon scenario, its six-correlator witness with bound 4, the
-    odd/even bipartition, and the Bell inequality it maps to."""
-    scenario, gamma = n_cycle(6, budget=budget)
+    odd/even bipartition, and the Bell inequality it maps to: the same terms
+    on the party closure, at the witness's elimination maximum (where
+    ks_to_bell places them), so no map has to run."""
+    scenario, gamma = n_cycle(6)
     partition = Partition(((0, 2, 4), (1, 3, 5)))
-    report = ks_to_bell(scenario, gamma, partition, budget=budget)
     return PearleExample(
         scenario=scenario,
         gamma=gamma,
         partition=partition,
-        bell_scenario=report.target_scenario,
-        gamma_prime=report.target_inequality,
+        bell_scenario=_party_closure(scenario, partition),
+        gamma_prime=Inequality(gamma.terms, gamma.bound, "LR", gamma.label),
     )
 
 
@@ -322,7 +318,7 @@ class PearleExample:
     gamma_prime: Inequality
 
 
-def chsh_example(budget=DEFAULT_BUDGET):
+def chsh_example():
     """The two-party two-setting scenario and its facet inequality."""
     scenario = build_scenario(
         ["A1", "A2", "B1", "B2"], [2] * 4,
@@ -330,7 +326,7 @@ def chsh_example(budget=DEFAULT_BUDGET):
     )
     correlators = [((0, 2), 1), ((0, 3), 1), ((1, 2), 1), ((1, 3), -1)]
     probe = correlator_inequality(scenario, correlators, 0, "LR", "chsh")
-    return scenario, replace(probe, bound=classical_bound(probe, scenario, budget=budget))
+    return scenario, replace(probe, bound=classical_bound(probe, scenario))
 
 
 def pm_square():
@@ -395,7 +391,6 @@ class SicBellReport:
         return self.quantum_value - float(self.local_bound)
 
     def to_json(self):
-        from .scenario import frac_str
         return {
             "scenario": self.scenario.to_json(),
             "inequality": self.inequality.to_json(self.scenario),
@@ -506,13 +501,12 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
 
     removals = []
     for m in sic_set.embedded or range(len(s.measurements)):
-        witness = replace(sic_set.witness,
-                          terms=[t for t in sic_set.witness.terms if m not in t[0]])
+        witness, w = _drop_measurement(sic_set, m)
         if not witness.terms:
             removals.append((s.measurements[m], 0.0))
             continue
         _, lifted_m, const_m = _lift_once(s, witness, budget)
-        q_m = float(np.trace(witness_operator(replace(sic_set, witness=witness))).real)
+        q_m = float(np.trace(w).real)
         removals.append((s.measurements[m],
                          q_m / sic_set.dim - float(const_m) - float(lifted_m.bound)))
 
@@ -549,8 +543,8 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
     which needs a SIC set rather than a bare inequality and is therefore
     only reported.
     """
-    cnp = is_complete_n_partite(scenario.compat)
-    if cnp is not None and cnp.n_parts >= 2 and not cnp.undersized_parts():
+    cnp = _bell_partition(scenario.compat)
+    if cnp is not None:
         if inequality.kind == "LR":
             report = bell_to_ks(scenario, inequality, budget=budget)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     NotDichotomic,
     RankDeficiencyAmbiguous,
 )
+from .polytope import classical_bound
 from .scenario import (
     Behavior,
     Inequality,
@@ -32,6 +33,7 @@ from .scenario import (
     build_scenario,
     correlator_decomposition,
     frac,
+    frac_str,
     maximal_contexts,
     outcome_grid,
 )
@@ -57,6 +59,7 @@ __all__ = [
 
 ATOL = 1e-10
 SEESAW_FTOL = 1e-13
+SIC_MARGIN = 1e-9  # a SIC witness's minimum must exceed its bound by more
 
 
 # -- small dense linear algebra helpers ----------------------------------------
@@ -458,7 +461,6 @@ class SICSet:
         return QuantumModel(self.dim, state, self.effects)
 
     def to_json(self):
-        from .scenario import frac_str
         return {
             "d": self.dim,
             "scenario": self.scenario.to_json(),
@@ -521,7 +523,6 @@ class SicReport:
     mu: Fraction
 
     def to_json(self):
-        from .scenario import frac_str
         return {
             "is_sic": self.is_sic,
             "q_estimate": self.q_estimate,
@@ -538,9 +539,9 @@ def verify_sic(sic_set, sample_states=100, seed=0):
     Two diagnostics are reported separately: the deviation of the witness
     operator from a scalar multiple of the identity, and its minimum
     eigenvalue (the exact minimum of the witness value over states). The
-    verdict requires the minimum over states to strictly exceed the
-    classical bound. A stored q that differs from Tr(W)/d by more than
-    1e-9 raises InvalidSet.
+    verdict requires the minimum over states to exceed the classical
+    bound by more than SIC_MARGIN. A stored q that differs from
+    Tr(W)/d by more than 1e-9 raises InvalidSet.
     """
     if sic_set.dim < 3:
         raise InvalidSet("state-independent witness sets need dimension >= 3")
@@ -557,20 +558,26 @@ def verify_sic(sic_set, sample_states=100, seed=0):
     rng = np.random.default_rng(seed)
     psis = (random_state(d, rng) for _ in range(sample_states))
     sample_min = min((float((psi.conj() @ w @ psi).real) for psi in psis), default=None)
-    is_sic = lam_min > float(sic_set.mu) + 1e-9
+    is_sic = lam_min > float(sic_set.mu) + SIC_MARGIN
     return SicReport(is_sic, q_est, dev, lam_min, sample_min, sic_set.mu)
 
 
+def _drop_measurement(sic_set, index):
+    """The witness without the terms that involve measurement `index`, and
+    its operator. The measurement stays in the scenario, unmentioned and so
+    free: every classical bound equals the one on the induced scenario."""
+    witness = replace(sic_set.witness, terms=tuple(
+        t for t in sic_set.witness.terms if index not in t[0]))
+    return witness, witness_operator(replace(sic_set, witness=witness))
+
+
 def remove_measurement(sic_set, index):
-    """The witness set with one measurement deleted.
-
-    The compatibility graph is induced on the remaining measurements,
-    witness terms whose context contains the deleted measurement are
-    dropped, and the classical bound is recomputed exactly.
-    """
-    from .polytope import classical_bound
-
+    """The witness set with one measurement deleted: the witness terms that
+    involve it are dropped (the removal rule of criticality_check), and the
+    set is restricted to the induced scenario, where the classical bound is
+    recomputed exactly; it equals the bound on the full scenario."""
     s = sic_set.scenario
+    witness, w = _drop_measurement(sic_set, index)
     keep = [m for m in range(len(s.measurements)) if m != index]
     remap = {m: k for k, m in enumerate(keep)}
     edges = [
@@ -584,17 +591,14 @@ def remove_measurement(sic_set, index):
     )
     terms = tuple(
         (tuple(remap[m] for m in members), asg, coef)
-        for members, asg, coef in sic_set.witness.terms
-        if index not in members
+        for members, asg, coef in witness.terms
     )
-    witness = Inequality(terms, sic_set.witness.bound, sic_set.witness.kind,
-                         sic_set.witness.label + f"-minus-{s.measurements[index]}")
+    witness = Inequality(terms, witness.bound, witness.kind,
+                         witness.label + f"-minus-{s.measurements[index]}")
     mu = classical_bound(witness, reduced)
-    witness = Inequality(terms, mu, witness.kind, witness.label)
     effects = tuple(sic_set.effects[m] for m in keep)
-    q = float(np.trace(witness_operator(
-        SICSet(sic_set.dim, reduced, effects, witness, mu, 0.0))).real) / sic_set.dim
-    return SICSet(sic_set.dim, reduced, effects, witness, mu, q)
+    return SICSet(sic_set.dim, reduced, effects, replace(witness, bound=mu), mu,
+                  float(np.trace(w).real) / sic_set.dim)
 
 
 def criticality_check(sic_set, sample_states=50, seed=0):
@@ -602,17 +606,18 @@ def criticality_check(sic_set, sample_states=50, seed=0):
 
     Returns (critical, breaks) where breaks[k] is True when deleting
     measurement k destroys the SIC property; the set is critical when
-    every removal does.
+    every removal does. Only the full set goes through verify_sic and its
+    state sampling. Removing k drops the terms that involve it, on the same
+    scenario; that breaks the set when no term is left, or when the exact
+    minimum (eigenvalue) of what is left is not above its classical bound
+    by more than SIC_MARGIN.
     """
     base = verify_sic(sic_set, sample_states=sample_states, seed=seed)
     if not base.is_sic:
         raise InvalidSet("the full set is not a SIC set")
     breaks = []
     for k in range(len(sic_set.scenario.measurements)):
-        reduced = remove_measurement(sic_set, k)
-        if not reduced.witness.terms:
-            breaks.append(True)
-            continue
-        rep = verify_sic(reduced, sample_states=sample_states, seed=seed)
-        breaks.append(not rep.is_sic)
+        witness, w = _drop_measurement(sic_set, k)
+        breaks.append(not witness.terms or float(np.linalg.eigvalsh(w)[0])
+                      <= float(classical_bound(witness, sic_set.scenario)) + SIC_MARGIN)
     return all(breaks), breaks

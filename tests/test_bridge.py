@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ksatlas.bridge
 import ksatlas.polytope
+import ksatlas.quantum
 from ksatlas.bridge import (
     bell_to_ks,
     chsh_example,
@@ -366,31 +367,35 @@ def test_lift_rejects_noncommuting_compatible_effects(pm):
 
 # -- work done ---------------------------------------------------------------------
 
-def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
-    # eliminations (classical bounds and facet verdicts) and seesaw runs
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, attribute, name) target so that its calls are
+    counted under name; returns work(f), the counts of one call of f."""
     calls = collections.Counter()
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(ksatlas.polytope, "best_assignment",
-                        counted("elim", ksatlas.polytope.best_assignment))
-    monkeypatch.setattr(ksatlas.bridge, "seesaw_max",
-                        counted("seesaw", ksatlas.bridge.seesaw_max))
+    for module, attr, name in targets:
+        def wrapper(*args, _f=getattr(module, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
 
     def work(f):
         calls.clear()
         f()
         return dict(calls)
+    return work
 
+
+def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
+    # eliminations (classical bounds and facet verdicts) and seesaw runs
+    work = count_calls(monkeypatch, [
+        (ksatlas.polytope, "best_assignment", "elim"),
+        (ksatlas.bridge, "seesaw_max", "seesaw"),
+    ])
     # one elimination per map: the target's bound and face are the source's
     assert work(lambda: ks_to_bell(pearle.scenario, pearle.gamma,
                                    pearle.partition)) == {"elim": 1}
     assert work(lambda: map_report(pearle.scenario, pearle.gamma)) == {"elim": 1}
-    assert work(pearle_hexagon) == {"elim": 2}
+    # the witness's bound; the Bell target reuses it, so no map runs
+    assert work(pearle_hexagon) == {"elim": 1}
     # the lift and each removal's lift; no reduced witness bound
     assert work(lambda: sic_to_bell(dataclasses.replace(pm, embedded=(0,)))) \
         == {"elim": 2}
@@ -401,3 +406,19 @@ def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
         == {"elim": 1, "seesaw": 1}
     assert work(lambda: map_report(pearle.scenario, pearle.gamma, with_quantum=True,
                                    restarts=2)) == {"elim": 1, "seesaw": 1}
+
+
+def test_criticality_and_pearle_rebuild_nothing(monkeypatch, pm):
+    work = count_calls(monkeypatch, [
+        (ksatlas.polytope, "best_assignment", "elim"),
+        (ksatlas.quantum, "build_scenario", "build"),
+        (ksatlas.quantum, "witness_operator", "operator"),
+        (ksatlas.quantum, "random_state", "state"),
+        (ksatlas.bridge, "_face_verdict", "face"),
+    ])
+    # the full set's operator and sampled states, then per removal one
+    # operator and one bound on the same scenario
+    assert work(lambda: criticality_check(pm)) \
+        == {"elim": 9, "operator": 10, "state": 50}
+    # the closure scenario and the target are read off, no verdict is made
+    assert work(pearle_hexagon) == {"elim": 1}

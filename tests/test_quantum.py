@@ -1,9 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ksatlas.bridge import chsh_example, n_cycle, n_cycle_quantum_model, pm_square
@@ -22,6 +24,7 @@ from ksatlas.quantum import (
     _objective_operator,
     _random_observable,
     SICSet,
+    _drop_measurement,
     criticality_check,
     eigh_sorted,
     herm,
@@ -35,10 +38,14 @@ from ksatlas.quantum import (
     verify_sic,
     witness_operator,
 )
+from ksatlas.polytope import classical_bound
 from ksatlas.scenario import (
+    Inequality,
     build_scenario,
     correlator_decomposition,
+    correlator_inequality,
     evaluate,
+    maximal_contexts,
     validate_behavior,
 )
 
@@ -389,9 +396,9 @@ def test_pm_is_critical(pm):
     assert critical and len(breaks) == 9 and all(breaks)
 
 
-def test_pm_with_redundant_duplicate_is_not_critical(pm):
-    # append a copy of the first observable: removing the copy changes
-    # nothing, so the enlarged set cannot be critical
+def pm_with_duplicate(pm):
+    """The PM square plus a copy of its first observable, under the same
+    witness."""
     s = pm.scenario
     obs0 = pm.effects[0][0] - pm.effects[0][1]
     mats = [eff[0] - eff[1] for eff in pm.effects] + [obs0]
@@ -402,14 +409,89 @@ def test_pm_with_redundant_duplicate_is_not_critical(pm):
     ]
     bigger = build_scenario(ids, [2] * 10, edges)
     witness = pm.witness  # same six contexts, still sub-cliques
-    sic = SICSet(4, bigger, tuple(pm.effects) + (pm.effects[0],), witness,
-                 pm.mu, pm.q)
+    return SICSet(4, bigger, tuple(pm.effects) + (pm.effects[0],), witness,
+                  pm.mu, pm.q)
+
+
+def test_pm_with_redundant_duplicate_is_not_critical(pm):
+    # removing the copy changes nothing, so the enlarged set cannot be
+    # critical
+    sic = pm_with_duplicate(pm)
     assert verify_sic(sic).is_sic
     critical, breaks = criticality_check(sic)
     assert not critical
     assert breaks[:9] == [True] * 9 and breaks[9] is False
 
 
+def rebuilt_criticality(sic):
+    """Reference: every removal rebuilt on the induced scenario, with its
+    own bound there, and verified as a set of its own."""
+    breaks = []
+    for k in range(len(sic.scenario.measurements)):
+        r = remove_measurement(sic, k)
+        breaks.append(not r.witness.terms or not verify_sic(r).is_sic)
+    return all(breaks), breaks
+
+
+def criticality_cases(pm):
+    yield "pm", pm
+    effects = tuple(tuple(np.kron(e, np.eye(3)) for e in eff) for eff in pm.effects)
+    yield "pm x I3", replace(pm, dim=12, effects=effects)
+    yield "pm + duplicate", pm_with_duplicate(pm)
+    doubled = Inequality(tuple((m, a, 2 * c) for m, a, c in pm.witness.terms),
+                         2 * pm.mu, pm.witness.kind)
+    yield "2 pm", replace(pm, witness=doubled, mu=2 * pm.mu, q=2 * pm.q)
+    terms = pm.witness.terms + correlator_inequality(
+        pm.scenario, [((0,), Fraction(1, 2))], 0).terms
+    probe = Inequality(terms, 0, pm.witness.kind)
+    witness = replace(probe, bound=classical_bound(probe, pm.scenario))
+    sic = replace(pm, witness=witness, mu=witness.bound)
+    yield "pm + A11/2", replace(sic, q=float(np.trace(witness_operator(sic)).real) / 4)
+
+
+def test_criticality_matches_rebuilt_removals(pm):
+    seen = []
+    for name, sic in criticality_cases(pm):
+        assert verify_sic(sic).is_sic, name
+        critical, breaks = criticality_check(sic)
+        assert all(type(b) is bool for b in breaks), name
+        assert (critical, breaks) == rebuilt_criticality(sic), name
+        seen.append(critical)
+    # both verdicts occur
+    assert True in seen and False in seen
+
+
+def brute_force_bound(scenario, inequality):
+    """Oracle: the largest value over every deterministic assignment."""
+    return max(
+        sum((c for members, asg, c in inequality.terms
+             if all(a[m] == o for m, o in zip(members, asg))), Fraction(0))
+        for a in itertools.product(*scenario.outcomes)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dropping_a_measurement_keeps_the_induced_bound(data):
+    # a measurement no term mentions is free, so the bound on the full
+    # scenario is the bound on the scenario induced on the others
+    n = data.draw(st.integers(3, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    s = build_scenario([f"M{i}" for i in range(n)], [2] * n, edges)
+    cliques = [sub for ctx in maximal_contexts(s)
+               for r in range(1, len(ctx.members) + 1)
+               for sub in itertools.combinations(ctx.members, r)]
+    correlators = data.draw(st.lists(
+        st.tuples(st.sampled_from(cliques), st.integers(-3, 3)), min_size=1, max_size=6))
+    probe = correlator_inequality(s, correlators, 0)
+    m = data.draw(st.integers(0, n - 1))
+    eye = np.eye(3, dtype=complex)
+    sic = SICSet(3, s, ((eye, 0 * eye),) * n, probe, Fraction(0), 0.0)
+    witness, _ = _drop_measurement(sic, m)
+    assume(witness.terms)
+    full = classical_bound(witness, s)
+    assert full == remove_measurement(sic, m).mu == brute_force_bound(s, witness)
 def test_stored_q_must_match_the_witness_trace(pm):
     # q arrives unchecked from JSON; Tr(W)/d of the PM witness is 6
     wrong = SICSet.from_json({**pm.to_json(), "q": 5})
@@ -433,8 +515,6 @@ def test_commuting_triple_is_not_sic():
     z3 = np.kron(PZ, PZ)
     mats = [z1, z2, z3]
     s = build_scenario(["a", "b", "c"], [2] * 3, [(0, 1), (0, 2), (1, 2)])
-    from ksatlas.scenario import correlator_inequality
-    from ksatlas.polytope import classical_bound
     probe = correlator_inequality(s, [((0, 1, 2), 1)], 0)
     mu = classical_bound(probe, s)
     witness = correlator_inequality(s, [((0, 1, 2), 1)], mu)
