@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .graphs import Graph, Partition, GraphInvariants
-from .scenario import Scenario, Context, Behavior, Inequality, build_scenario
+from .scenario import Scenario, Behavior, Inequality, build_scenario
 
 __all__ = [
     "errors",
@@ -16,7 +16,6 @@ __all__ = [
     "Partition",
     "GraphInvariants",
     "Scenario",
-    "Context",
     "Behavior",
     "Inequality",
     "build_scenario",

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     InvalidPartition,
     NotABellScenario,
-    NotDichotomic,
     SicVerificationFailed,
     TooSmall,
     UndersizedPart,
@@ -42,6 +41,7 @@ from .quantum import (
     QuantumModel,
     SICSet,
     _drop_measurement,
+    _require_dichotomic,
     observable_effects,
     seesaw_max,
     validate_model,
@@ -54,7 +54,6 @@ from .scenario import (
     correlator_decomposition,
     correlator_inequality,
     frac_str,
-    maximal_contexts,
 )
 
 __all__ = [
@@ -161,7 +160,7 @@ def bell_to_ks(scenario, inequality, budget=DEFAULT_BUDGET):
     if partition is None:
         raise NotABellScenario("compatibility graph is not complete n-partite "
                                "with >= 2 parties of >= 2 measurements each")
-    target_ineq = inequality.relabeled(kind="NCHV")
+    target_ineq = replace(inequality, kind="NCHV")
     tight = tightness_test(inequality, scenario, budget=budget)
     return MappingReport(
         direction="bell-to-ks",
@@ -354,12 +353,12 @@ def pm_square():
     ]
     scenario = build_scenario(ids, [2] * 9, edges)
     correlators = []
-    for ctx in maximal_contexts(scenario):
+    for ctx in scenario.contexts:
         prod = np.eye(4, dtype=complex)
-        for m in ctx.members:
+        for m in ctx:
             prod = prod @ mats[m]
         sign = 1 if prod[0, 0].real > 0 else -1
-        correlators.append((ctx.members, sign))
+        correlators.append((ctx, sign))
     probe = correlator_inequality(scenario, correlators, 0, "NCHV", "pm-witness")
     mu = classical_bound(probe, scenario)
     witness = replace(probe, bound=mu)
@@ -404,13 +403,6 @@ class SicBellReport:
                 {"removed": mid, "violation": v} for mid, v in self.removal_violations
             ],
         }
-
-
-def _dichotomic_indices(scenario):
-    for m, outs in enumerate(scenario.outcomes):
-        if set(outs) != {1, -1}:
-            raise NotDichotomic(
-                "the Bell lift is implemented for +-1 observable sets")
 
 
 def _lift_once(s, witness, budget):
@@ -496,7 +488,7 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
             f"not a SIC set: min witness value {rep.min_eigenvalue} "
             f"vs bound {sic_set.mu}")
     s = sic_set.scenario
-    _dichotomic_indices(s)
+    _require_dichotomic(s)
     bell, lifted, const = _lift_once(s, sic_set.witness, budget)
 
     removals = []

@@ -10,6 +10,7 @@ invalid input, 3 budget or convergence failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -233,6 +234,7 @@ def cmd_examples(args):
     return 0
 
 
+@functools.cache  # parse_args keeps no state and every default is immutable
 def build_parser():
     p = _Parser(prog="atlas", description=__doc__)
     p.add_argument("--version", action="version", version=f"ksatlas {__version__}")
@@ -324,9 +326,6 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

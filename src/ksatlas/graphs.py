@@ -14,7 +14,6 @@ gives the upper end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -96,8 +95,6 @@ class Graph:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(int(data["n"]), tuple((int(i), int(j)) for i, j in data["edges"]))
 
 
@@ -124,8 +121,6 @@ class Partition:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(tuple(tuple(int(v) for v in p) for p in data["parts"]))
 
 
@@ -255,8 +250,9 @@ def find_n_partition(graph, n):
 def is_complete_n_partite(graph):
     """The unique multipartite structure if the graph is complete n-partite.
 
-    Non-adjacency must be an equivalence relation; the parts are then its
-    classes and every cross-part edge must be present.
+    Closed non-adjacency must be an equivalence relation; the parts are its
+    classes. Once each member's closed non-neighbourhood is its class, the
+    classes are disjoint, so every cross-part pair is an edge.
     """
     n = graph.n
     if n == 0:
@@ -270,24 +266,11 @@ def is_complete_n_partite(graph):
         if (seen >> v) & 1:
             continue
         cls = non_adj[v]
-        # every member must share exactly this non-adjacency class
-        members = []
-        m = cls
-        while m:
-            lsb = m & -m
-            u = lsb.bit_length() - 1
-            m ^= lsb
-            if non_adj[u] != cls:
-                return None
-            members.append(u)
-        parts.append(tuple(members))
+        members = tuple(_bits(cls))
+        if any(non_adj[u] != cls for u in members):
+            return None
+        parts.append(members)
         seen |= cls
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for i in parts[a]:
-                for j in parts[b]:
-                    if not (adj[i] >> j) & 1:
-                        return None
     return Partition(tuple(parts))
 
 

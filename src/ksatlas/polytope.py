@@ -29,7 +29,6 @@ from .scenario import (
     check_inequality,
     frac,
     frac_str,
-    maximal_contexts,
     outcome_grid,
     validate_behavior,
 )
@@ -58,7 +57,7 @@ class Layout:
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self.contexts = tuple(c.members for c in maximal_contexts(scenario))
+        self.contexts = scenario.contexts
         self.grids = [outcome_grid(scenario, c) for c in self.contexts]
         self.pairs = [
             (ctx, asg)
@@ -156,7 +155,7 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget}")
     # D from the contexts alone: Layout, which builds every grid, comes after
-    size = _coordinate_count([c.members for c in maximal_contexts(scenario)], radices)
+    size = _coordinate_count(scenario.contexts, radices)
     if total * size > MEMORY_BUDGET:
         raise BudgetExceeded(
             f"{total} x {size} coordinate entries exceed the memory budget")
@@ -217,9 +216,9 @@ def polytope_dimension(scenario):
     affine dimension counts the nonempty monomials. No vertex is built.
     """
     cliques = set()
-    for ctx in maximal_contexts(scenario):
-        for k in range(1, len(ctx.members) + 1):
-            cliques.update(itertools.combinations(ctx.members, k))
+    for ctx in scenario.contexts:
+        for k in range(1, len(ctx) + 1):
+            cliques.update(itertools.combinations(ctx, k))
     return sum(math.prod(len(scenario.outcomes[m]) - 1 for m in c)
                for c in cliques)
 
@@ -293,8 +292,7 @@ def _face_verdict(inequality, scenario, max_val, elimination, budget):
     and elimination may come from another scenario with the same
     outcome counts and terms, whose maximizers are the same assignments."""
     radices, _ = _assignment_space(scenario)
-    contexts = [c.members for c in maximal_contexts(scenario)]
-    size = _coordinate_count(contexts, radices)
+    size = _coordinate_count(scenario.contexts, radices)
     if size > budget:
         raise BudgetExceeded(f"{size} coordinates exceed budget {budget}")
     poly_dim = polytope_dimension(scenario)  # admitted: walks at most D subsets
@@ -303,7 +301,7 @@ def _face_verdict(inequality, scenario, max_val, elimination, budget):
     if max_val < inequality.bound:
         return TightnessReport("not supporting", max_val, 0, -1, poly_dim)
     face = maximizers(radices, elimination, limit=min(budget, MEMORY_BUDGET // max(size, 1)))
-    rows = _coordinate_rows(contexts, radices, face)
+    rows = _coordinate_rows(scenario.contexts, radices, face)
     face_dim = _affine_rank(rows)
     verdict = "facet" if face_dim == poly_dim - 1 else "lower-dimensional face"
     return TightnessReport(verdict, max_val, rows.shape[0], face_dim, poly_dim)

@@ -9,7 +9,6 @@ observables, and verification of state-independent witness sets.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .scenario import (
     correlator_decomposition,
     frac,
     frac_str,
-    maximal_contexts,
     outcome_grid,
 )
 
@@ -136,8 +134,6 @@ class QuantumModel:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         d = int(data["d"])
         st = data["state"]
         if st["kind"] == "pure":
@@ -200,8 +196,7 @@ def quantum_behavior(model, scenario):
     validate_model(model, scenario)
     rho = model.density()
     tables = {}
-    for ctx in maximal_contexts(scenario):
-        members = ctx.members
+    for members in scenario.contexts:
         tab = {}
         for asg in outcome_grid(scenario, members):
             op = rho
@@ -340,6 +335,13 @@ def _effective_operator(subsets, observables, rho, target):
     return f
 
 
+def _require_dichotomic(scenario):
+    for mid, outs in zip(scenario.measurements, scenario.outcomes):
+        if set(outs) != {1, -1}:
+            raise NotDichotomic(f"measurement {mid} has outcomes {list(outs)}, "
+                                "not the +-1 of an observable")
+
+
 def _random_observable(dim, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
@@ -372,11 +374,11 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     leaves the stack when its value moves by at most SEESAW_FTOL
     relative to 1 + |value|; iterations sums the restarts' steps. The
     best value over all restarts (the first restart reaching it gives the
-    model) is a lower bound on the quantum maximum.
+    model) is a lower bound on the quantum maximum. The model's effects
+    follow the scenario's outcome order: outcome l of observable M gets
+    (I + l M)/2.
     """
-    for outs in scenario.outcomes:
-        if set(outs) != {1, -1}:
-            raise NotDichotomic("seesaw requires +-1 outcomes on every measurement")
+    _require_dichotomic(scenario)
     if dim < 2:
         raise InvalidModel("dim must be >= 2")
     if restarts < 1:
@@ -432,7 +434,8 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     vals, vecs = top(final, restarts)
     best = int(np.argmax(vals[:, -1]))
     effects = tuple(
-        (0.5 * (np.eye(dim) + o[best]), 0.5 * (np.eye(dim) - o[best])) for o in final
+        tuple(0.5 * (np.eye(dim) + label * o[best]) for label in outs)
+        for o, outs in zip(final, scenario.outcomes)
     )
     model = QuantumModel(dim, vecs[best, :, -1], effects)
     return SeesawResult(float(vals[best, -1]), model, bool(converged[best]),
@@ -478,16 +481,19 @@ class SICSet:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
+        """The set stored by to_json. verify_sic's verdict rests on mu, so a
+        mu other than the witness's exact classical bound raises InvalidSet."""
         scenario = Scenario.from_json(data["scenario"])
         effects = tuple(
             tuple(mat_from_json(e) for e in m["effects"])
             for m in data["measurements"]
         )
         witness = Inequality.from_json(scenario, data["witness"])
-        return cls(int(data["d"]), scenario, effects, witness,
-                   frac(data["mu"]), float(data["q"]))
+        mu, bound = frac(data["mu"]), classical_bound(witness, scenario)
+        if mu != bound:
+            raise InvalidSet(f"stored mu {frac_str(mu)} is not the witness's "
+                             f"classical bound {frac_str(bound)}")
+        return cls(int(data["d"]), scenario, effects, witness, mu, float(data["q"]))
 
 
 def observable_effects(observable):

@@ -1,21 +1,20 @@
 """Measurement scenarios, behaviors, and linear inequalities over them.
 
 A scenario is a list of measurements with finite outcome sets plus a
-compatibility graph; contexts are the maximal cliques. A behavior stores
-one probability table per maximal context, either as exact rationals or
-as floats. Inequalities are linear functionals over event probabilities;
-correlator expressions are stored expanded into event terms so a single
-evaluation path serves both forms.
+compatibility graph; it holds its contexts, the maximal cliques, as
+`Scenario.contexts`. A behavior stores one probability table per maximal
+context, either as exact rationals or as floats. Inequalities are linear
+functionals over event probabilities; correlator expressions are stored
+expanded into event terms so a single evaluation path serves both forms.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import (
     DuplicateMeasurement,
@@ -30,12 +29,10 @@ from .graphs import Graph, maximal_cliques
 
 __all__ = [
     "Scenario",
-    "Context",
     "Behavior",
     "Inequality",
     "ValidationReport",
     "build_scenario",
-    "maximal_contexts",
     "validate_behavior",
     "evaluate",
     "frac",
@@ -60,9 +57,18 @@ def frac_str(x):
 
 @dataclass(frozen=True)
 class Scenario:
+    """Measurements, outcome labels and compatibility graph. The contexts
+    are computed on first use and kept on the instance; == and hash read
+    only the three fields."""
+
     measurements: tuple          # measurement identifiers, in index order
     outcomes: tuple              # per measurement, tuple of outcome labels
     compat: Graph                # edge = compatible pair of measurement indices
+
+    @cached_property
+    def contexts(self):
+        """Maximal cliques of `compat`: sorted index tuples, lexicographic."""
+        return tuple(maximal_cliques(self.compat))
 
     def index_of(self, mid):
         try:
@@ -81,20 +87,10 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         ids = [m["id"] for m in data["measurements"]]
         outs = [tuple(m["outcomes"]) for m in data["measurements"]]
         edges = tuple((int(i), int(j)) for i, j in data["compat"])
         return build_scenario(ids, outs, edges)
-
-
-@dataclass(frozen=True)
-class Context:
-    members: tuple  # sorted measurement indices
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
 
 def build_scenario(measurements, outcomes, compat_edges):
@@ -131,16 +127,6 @@ def build_scenario(measurements, outcomes, compat_edges):
             raise InvalidEdge(f"duplicate edge {key}")
         seen.add(key)
     return Scenario(ids, tuple(out_sets), Graph(len(ids), tuple(seen)))
-
-
-@lru_cache(maxsize=256)
-def _maximal_context_tuples(scenario):
-    return tuple(maximal_cliques(scenario.compat))
-
-
-def maximal_contexts(scenario):
-    """Maximal cliques of the compatibility graph in lexicographic order."""
-    return [Context(c) for c in _maximal_context_tuples(scenario)]
 
 
 def outcome_grid(scenario, members):
@@ -185,7 +171,7 @@ class Behavior:
     def prob_table(self, sub):
         """marginal_table of sub in the first maximal context containing it."""
         sub = tuple(sub)
-        for ctx in _maximal_context_tuples(self.scenario):
+        for ctx in self.scenario.contexts:
             if set(sub) <= set(ctx):
                 return self.marginal_table(ctx, sub)
         raise ScenarioMismatch(f"{sub} is not inside any maximal context")
@@ -203,8 +189,6 @@ class Behavior:
 
     @classmethod
     def from_json(cls, scenario, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         mode = data["mode"]
         tables = {}
         for ckey, entries in data["tables"].items():
@@ -241,11 +225,6 @@ class Inequality:
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "bound", frac(self.bound))
 
-    def relabeled(self, kind=None, label=None):
-        return Inequality(self.terms, self.bound,
-                          kind if kind is not None else self.kind,
-                          label if label is not None else self.label)
-
     def to_json(self, scenario):
         return {
             "terms": [
@@ -263,8 +242,6 @@ class Inequality:
 
     @classmethod
     def from_json(cls, scenario, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         terms = []
         for t in data["terms"]:
             pairs = sorted(
@@ -285,7 +262,7 @@ class Inequality:
 def check_inequality(scenario, inequality):
     """Every term context must sit inside some maximal context and use
     valid outcome labels."""
-    ctx_sets = [set(c) for c in _maximal_context_tuples(scenario)]
+    ctx_sets = [set(c) for c in scenario.contexts]
     inside = set()  # term contexts already found inside a maximal context
     for members, asg, _ in inequality.terms:
         if len(members) != len(asg):
@@ -398,7 +375,7 @@ def validate_behavior(scenario, behavior, tol=None):
     if exact:
         tol = frac(tol)
 
-    ctxs = _maximal_context_tuples(scenario)
+    ctxs = scenario.contexts
     norm_issues, neg_issues, nd_issues = [], [], []
     for ctx in ctxs:
         tab = behavior.table(ctx)  # raises MissingContextTable
@@ -454,7 +431,7 @@ def evaluate(inequality, behavior):
 
 def uniform_behavior(scenario, mode="rational"):
     tables = {}
-    for ctx in _maximal_context_tuples(scenario):
+    for ctx in scenario.contexts:
         grid = outcome_grid(scenario, ctx)
         p = Fraction(1, len(grid)) if mode == "rational" else 1.0 / len(grid)
         tables[ctx] = {asg: p for asg in grid}
@@ -467,7 +444,7 @@ def deterministic_behavior(scenario, assignment, mode="rational"):
     one = Fraction(1) if mode == "rational" else 1.0
     zero = Fraction(0) if mode == "rational" else 0.0
     tables = {}
-    for ctx in _maximal_context_tuples(scenario):
+    for ctx in scenario.contexts:
         want = tuple(assignment[m] for m in ctx)
         tables[ctx] = {
             asg: (one if asg == want else zero)
@@ -482,7 +459,7 @@ def mix_behaviors(behaviors, weights):
     if first.mode == "rational":
         weights = [frac(w) for w in weights]
     tables = {}
-    for ctx in _maximal_context_tuples(first.scenario):
+    for ctx in first.scenario.contexts:
         tab = {}
         for asg in outcome_grid(first.scenario, ctx):
             tab[asg] = sum(w * b.table(ctx)[asg] for w, b in zip(weights, behaviors))

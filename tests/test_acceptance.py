@@ -24,7 +24,6 @@ from ksatlas.scenario import (
     Behavior,
     build_scenario,
     evaluate,
-    maximal_contexts,
     mix_behaviors,
     outcome_grid,
     uniform_behavior,
@@ -181,7 +180,7 @@ def test_criterion_8_pm_square_verification():
     w = witness_operator(pm)
     assert np.linalg.norm(w - 6 * np.eye(4)) <= 1e-9
     # independent brute force over all sign assignments respecting contexts
-    contexts = [c.members for c in maximal_contexts(pm.scenario)]
+    contexts = list(pm.scenario.contexts)
     signs = {}
     for ctx in contexts:
         mats = []
@@ -221,7 +220,7 @@ def _oracle_membership(scenario, behavior):
     deterministic assignment, solved in floats by scipy."""
     from scipy.optimize import linprog
 
-    contexts = [c.members for c in maximal_contexts(scenario)]
+    contexts = list(scenario.contexts)
     assignments = list(itertools.product(*scenario.outcomes))
     rows, rhs = [], []
     for ctx in contexts:
@@ -271,7 +270,7 @@ def test_criterion_10_membership_against_oracle():
             # no-disturbing non-member: uniform marginals, strong correlators
             r = F(9, 10)
             tables = {}
-            for ctx in [c.members for c in maximal_contexts(s)]:
+            for ctx in s.contexts:
                 sign = -1 if ctx == (0, len(s.measurements) - 1) else 1
                 tables[ctx] = {
                     (a, b): F(1, 4) + F(a * b * sign, 4) * r

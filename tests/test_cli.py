@@ -91,6 +91,13 @@ def test_sic_verify_and_critical(workdir, capsys):
     assert code == 0 and doc["result"]["critical"]
 
 
+
+def test_sic_verify_rejects_a_wrong_mu(workdir, capsys):
+    data = json.loads((workdir / "pm_square.sicset.json").read_text())
+    (workdir / "pm_mu3.sicset.json").write_text(json.dumps({**data, "mu": "3"}))
+    code, doc = run(capsys, "sic", "verify", "pm_mu3.sicset.json")
+    assert code == 2 and doc is None
+
 def test_dilate(workdir, capsys, tmp_path):
     from ksatlas.quantum import mat_to_json
     vecs = [np.array([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])

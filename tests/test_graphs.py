@@ -146,6 +146,26 @@ def test_complete_multipartite_iff_nonadjacency_transitive():
             assert not transitive or verdict is None
 
 
+
+def _brute_force_multipartite(g):
+    """The one partition into independent parts with every cross-part pair
+    an edge, searched over every part count, or None."""
+    found = [part for n in range(1, g.n + 1)
+             for part in enumerate_n_partitions(g, n)
+             if all(g.has_edge(a, b)
+                    for pa, pb in itertools.combinations(part.parts, 2)
+                    for a in pa for b in pb)]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def test_complete_multipartite_matches_brute_force_on_all_small_graphs():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, tuple(e for k, e in enumerate(pairs) if (mask >> k) & 1))
+            assert is_complete_n_partite(g) == _brute_force_multipartite(g), g
+
 # -- independence number ----------------------------------------------------------
 
 def test_alpha_c5_brute_force():

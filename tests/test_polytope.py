@@ -27,7 +27,6 @@ from ksatlas.scenario import (
     deterministic_behavior,
     evaluate,
     frac,
-    maximal_contexts,
     mix_behaviors,
     outcome_grid,
     uniform_behavior,
@@ -219,8 +218,8 @@ def small_scenarios(draw, max_coords=120):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     while True:
         s = build_scenario([f"m{i}" for i in range(n)], radices, edges)
-        size = sum(int(np.prod([radices[m] for m in c.members]))
-                   for c in maximal_contexts(s))
+        size = sum(int(np.prod([radices[m] for m in c]))
+                   for c in s.contexts)
         if size <= max_coords:
             return s
         edges = edges[:-1]
@@ -424,7 +423,7 @@ def hexagon_correlator_behavior(scenario, rs):
     """No-disturbing hexagon behavior with uniform marginals and the given
     edge correlators: P(a,b) = (1 + ab r)/4 on each context."""
     tables = {}
-    for ctx, r in zip([c.members for c in maximal_contexts(scenario)], rs):
+    for ctx, r in zip(scenario.contexts, rs):
         tables[ctx] = {
             (a, b): F(1, 4) + F(a * b, 4) * r
             for a, b in itertools.product((1, -1), repeat=2)
@@ -436,7 +435,7 @@ def test_quantum_like_maximizer_is_separated(hexagon):
     scenario, gamma = hexagon
     # rational stand-in for the quantum maximizer: correlators ~ cos(pi/6)
     r = F(866, 1000)
-    order = [c.members for c in maximal_contexts(scenario)]
+    order = list(scenario.contexts)
     rs = [r if ctx != (0, 5) else -r for ctx in order]
     beh = hexagon_correlator_behavior(scenario, rs)
     value = evaluate(gamma, beh)
@@ -479,7 +478,7 @@ def test_float_mode_non_member_gets_a_strict_witness(chsh):
     # floats cannot hold exactly, so the slack system (tol 1e-9) decides
     scenario, ineq = chsh
     tables = {}
-    for ctx in (c.members for c in maximal_contexts(scenario)):
+    for ctx in scenario.contexts:
         anti = ctx == (1, 3)
         tables[ctx] = {
             (a, b): 0.475 if (a == b) != anti else 0.025
@@ -509,7 +508,7 @@ def shared_form_cases(draw):
     pairs = list(itertools.combinations(range(n), 2))
     edges = [e for e in pairs if draw(st.booleans())]
     s = build_scenario([f"m{i}" for i in range(n)], radices, edges)
-    contexts = [c.members for c in maximal_contexts(s)]
+    contexts = list(s.contexts)
     coef = st.one_of(
         st.integers(-6, 6),
         st.fractions(min_value=-3, max_value=3, max_denominator=7),

@@ -23,6 +23,7 @@ from ksatlas.quantum import (
     _effective_operator,
     _objective_operator,
     _random_observable,
+    _sym_product,
     SICSet,
     _drop_measurement,
     criticality_check,
@@ -45,7 +46,6 @@ from ksatlas.scenario import (
     correlator_decomposition,
     correlator_inequality,
     evaluate,
-    maximal_contexts,
     validate_behavior,
 )
 
@@ -373,6 +373,24 @@ def test_seesaw_requires_dichotomic_outcomes():
         seesaw_max(ineq, s, dim=2)
 
 
+
+def test_seesaw_effects_follow_the_outcome_labels():
+    # CHSH plus <A1>, with Bob's outcomes listed as (-1, 1): reading the
+    # model by its labels must reproduce the reported value
+    s = build_scenario(["A1", "A2", "B1", "B2"], [(1, -1), (1, -1), (-1, 1), (-1, 1)],
+                       [(0, 2), (0, 3), (1, 2), (1, 3)])
+    ineq = correlator_inequality(
+        s, [((0, 2), 1), ((0, 3), 1), ((1, 2), 1), ((1, 3), -1), ((0,), 1)], 4)
+    res = seesaw_max(ineq, s, dim=4, restarts=4, seed=1)
+    observables = [eff[outs.index(1)] - eff[outs.index(-1)]
+                   for eff, outs in zip(res.model.effects, s.outcomes)]
+    subsets, const = correlator_decomposition(s, ineq)
+    psi = res.model.state
+    value = float(const) + sum(
+        float(c) * (psi.conj() @ _sym_product([observables[m] for m in members]) @ psi).real
+        for members, c in subsets.items())
+    assert abs(value - res.value) < 1e-9
+
 # -- SIC sets ----------------------------------------------------------------------
 
 def test_pm_witness_operator_is_six_identity(pm):
@@ -479,9 +497,9 @@ def test_dropping_a_measurement_keeps_the_induced_bound(data):
     pairs = list(itertools.combinations(range(n), 2))
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     s = build_scenario([f"M{i}" for i in range(n)], [2] * n, edges)
-    cliques = [sub for ctx in maximal_contexts(s)
-               for r in range(1, len(ctx.members) + 1)
-               for sub in itertools.combinations(ctx.members, r)]
+    cliques = [sub for ctx in s.contexts
+               for r in range(1, len(ctx) + 1)
+               for sub in itertools.combinations(ctx, r)]
     correlators = data.draw(st.lists(
         st.tuples(st.sampled_from(cliques), st.integers(-3, 3)), min_size=1, max_size=6))
     probe = correlator_inequality(s, correlators, 0)
@@ -499,6 +517,20 @@ def test_stored_q_must_match_the_witness_trace(pm):
         verify_sic(wrong)
     assert verify_sic(SICSet.from_json(pm.to_json())).is_sic
 
+
+
+def test_stored_mu_must_be_the_witness_bound(pm):
+    # a stored mu below the classical bound would let verify_sic certify
+    # a set that is not SIC: PM without its (A13, A23, A33) context has
+    # classical bound 5 and W = 5 I
+    data = pm.to_json()
+    with pytest.raises(InvalidSet):
+        SICSet.from_json({**data, "mu": "3"})
+    dropped = {**data["witness"], "terms": [
+        t for t in data["witness"]["terms"] if t["context"] != ["A13", "A23", "A33"]]}
+    with pytest.raises(InvalidSet):
+        SICSet.from_json({**data, "witness": dropped, "mu": "4", "q": 5})
+    assert SICSet.from_json({**data, "witness": dropped, "mu": "5", "q": 5}).mu == 5
 
 def test_reduced_pm_set_is_state_dependent(pm):
     reduced = remove_measurement(pm, 0)

@@ -20,7 +20,6 @@ from ksatlas.scenario import (
     correlator_inequality,
     deterministic_behavior,
     evaluate,
-    maximal_contexts,
     mix_behaviors,
     uniform_behavior,
     validate_behavior,
@@ -56,24 +55,24 @@ def test_build_scenario_rejects_bad_input():
 
 def test_hexagon_contexts(hexagon):
     scenario, _ = hexagon
-    members = [c.members for c in maximal_contexts(scenario)]
+    members = list(scenario.contexts)
     assert members == [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_trivial_singleton_scenario():
     s = build_scenario(["m"], [2], [])
-    assert [c.members for c in maximal_contexts(s)] == [(0,)]
+    assert list(s.contexts) == [(0,)]
 
 
 def test_edgeless_three_singletons():
     s = build_scenario(["a", "b", "c"], [2, 2, 2], [])
-    assert [c.members for c in maximal_contexts(s)] == [(0,), (1,), (2,)]
+    assert list(s.contexts) == [(0,), (1,), (2,)]
 
 
 def test_k22_contexts_match_brute_force():
     edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
     s = build_scenario(["A1", "A2", "B1", "B2"], [2] * 4, edges)
-    got = [c.members for c in maximal_contexts(s)]
+    got = list(s.contexts)
     assert got == brute_force_maximal_cliques(4, edges)
     assert got == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
@@ -85,7 +84,7 @@ def test_contexts_cover_edges_and_are_non_nested():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.4]
         s = build_scenario([f"m{i}" for i in range(n)], [2] * n, edges)
-        ctxs = [set(c.members) for c in maximal_contexts(s)]
+        ctxs = [set(c) for c in s.contexts]
         for a in ctxs:
             for b in ctxs:
                 assert a == b or not a < b
@@ -160,7 +159,7 @@ def test_evaluate_matches_brute_force_marginals():
     # oracle: sum every table entry of the first maximal context that
     # contains the term's sub-context and agrees with its assignment
     s = build_scenario(["a", "b", "c", "d"], [2, 3, 2, 2], [(0, 1), (1, 2), (0, 2), (2, 3)])
-    ctxs = [c.members for c in maximal_contexts(s)]
+    ctxs = list(s.contexts)
     rng = np.random.default_rng(41)
     for _ in range(20):
         b = uniform_behavior(s)
