@@ -1,6 +1,47 @@
+from fractions import Fraction
+
 import pytest
 
 from ksatlas.bridge import chsh_example, n_cycle, pearle_hexagon, pm_square
+
+F = Fraction
+
+
+def fraction_simplex(a_rows, b):
+    """Reference: the phase-1 Bland simplex on a full Fraction tableau.
+    Returns (feasible, x, certificate, objective, pivots), the fields of
+    ratlp.FeasibilityResult in order."""
+    m, n = len(a_rows), len(a_rows[0])
+    tab = []
+    for i, (row, rhs) in enumerate(zip(a_rows, b)):
+        sign = -1 if rhs < 0 else 1
+        tab.append([sign * F(v) for v in row] + [F(int(j == i)) for j in range(m)]
+                   + [sign * F(rhs)])
+    width = n + m
+    basis = list(range(n, width))
+    red = [sum(r[j] for r in tab) - (j >= n and j < width) for j in range(width + 1)]
+    pivots = 0
+    while True:
+        enter = next((j for j in range(width) if red[j] > 0), None)
+        if enter is None:
+            break
+        cand = [i for i in range(m) if tab[i][enter] > 0]
+        leave = min(cand, key=lambda i: (tab[i][width] / tab[i][enter], basis[i]))
+        row = [v / tab[leave][enter] for v in tab[leave]]
+        tab = [row if i == leave else [v - t[enter] * w for v, w in zip(t, row)]
+               if t[enter] else t for i, t in enumerate(tab)]
+        red = [v - red[enter] * w for v, w in zip(red, row)]
+        basis[leave] = enter
+        pivots += 1
+    objective = sum(tab[i][width] for i in range(m) if basis[i] >= n)
+    if objective == 0:
+        x = [F(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = tab[i][width]
+        return True, x, None, F(0), pivots
+    y = [(red[n + i] + 1) * (-1 if b[i] < 0 else 1) for i in range(m)]
+    return False, None, y, objective, pivots
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_simplex
+from ksatlas import polytope
 from ksatlas.bridge import n_cycle
 from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated
 from ksatlas.polytope import (
@@ -19,6 +21,7 @@ from ksatlas.polytope import (
     polytope_dimension,
     tightness_test,
 )
+from ksatlas.ratlp import FeasibilityResult
 from ksatlas.scenario import (
     Behavior,
     Inequality,
@@ -431,15 +434,19 @@ def hexagon_correlator_behavior(scenario, rs):
     return Behavior(scenario, "rational", tables)
 
 
+def quantum_like_hexagon(scenario):
+    """Rational stand-in for the quantum maximizer: correlators ~ cos(pi/6),
+    the (0, 5) context anticorrelated."""
+    r = F(866, 1000)
+    rs = [r if ctx != (0, 5) else -r for ctx in scenario.contexts]
+    return hexagon_correlator_behavior(scenario, rs)
+
+
 def test_quantum_like_maximizer_is_separated(hexagon):
     scenario, gamma = hexagon
-    # rational stand-in for the quantum maximizer: correlators ~ cos(pi/6)
-    r = F(866, 1000)
-    order = list(scenario.contexts)
-    rs = [r if ctx != (0, 5) else -r for ctx in order]
-    beh = hexagon_correlator_behavior(scenario, rs)
+    beh = quantum_like_hexagon(scenario)
     value = evaluate(gamma, beh)
-    assert value == 6 * r > 4
+    assert value == 6 * F(866, 1000) > 4
     res = membership_test(beh, scenario)
     assert not res.member
     # witness is exactly respected by every vertex and beaten by the behavior
@@ -460,23 +467,20 @@ def test_membership_rejects_disturbing_behavior(hexagon):
         membership_test(bad, scenario)
 
 
-def test_float_mode_membership_is_tolerant(chsh):
-    scenario, _ = chsh
+def noisy_chsh_mixture(scenario):
+    """A third each of three CHSH vertices, as floats shifted by 1e-13."""
     desc = enumerate_vertices(scenario)
     mixed = mix_behaviors([desc.vertex_behavior(i) for i in (0, 5, 9)],
                           [F(1, 3)] * 3)
-    noisy = Behavior(scenario, "float", {
+    return Behavior(scenario, "float", {
         ctx: {asg: float(p) + 1e-13 * (1 if asg[0] == 1 else -1)
               for asg, p in tab.items()}
         for ctx, tab in mixed.tables.items()
     })
-    assert membership_test(noisy, scenario, tol=1e-9).member
 
 
-def test_float_mode_non_member_gets_a_strict_witness(chsh):
-    # 0.9 PR box + 0.1 uniform noise: CHSH value 3.6 > 2, entries that
-    # floats cannot hold exactly, so the slack system (tol 1e-9) decides
-    scenario, ineq = chsh
+def noisy_pr_box(scenario):
+    """0.9 PR box + 0.1 uniform noise on CHSH, as floats."""
     tables = {}
     for ctx in scenario.contexts:
         anti = ctx == (1, 3)
@@ -484,7 +488,19 @@ def test_float_mode_non_member_gets_a_strict_witness(chsh):
             (a, b): 0.475 if (a == b) != anti else 0.025
             for a, b in itertools.product((1, -1), repeat=2)
         }
-    beh = Behavior(scenario, "float", tables)
+    return Behavior(scenario, "float", tables)
+
+
+def test_float_mode_membership_is_tolerant(chsh):
+    scenario, _ = chsh
+    assert membership_test(noisy_chsh_mixture(scenario), scenario, tol=1e-9).member
+
+
+def test_float_mode_non_member_gets_a_strict_witness(chsh):
+    # 0.9 PR box + 0.1 uniform noise: CHSH value 3.6 > 2, entries that
+    # floats cannot hold exactly, so the slack system (tol 1e-9) decides
+    scenario, ineq = chsh
+    beh = noisy_pr_box(scenario)
     assert evaluate(ineq, beh) > 3.5
     res = membership_test(beh, scenario)
     assert not res.member
@@ -496,6 +512,26 @@ def test_float_mode_non_member_gets_a_strict_witness(chsh):
     slack = F(1e-9) * sum(abs(c) for _, _, c in res.witness.terms)
     assert res.witness_value - slack > bound
     assert abs(evaluate(res.witness, beh) - float(res.witness_value)) < 1e-12
+
+
+def test_membership_reports_equal_the_fraction_simplex_reports(hexagon, chsh, monkeypatch):
+    # every report, weights and witness included, is the one the full
+    # Fraction tableau gives when it stands in for the exact LP
+    hex_s, _ = hexagon
+    chsh_s, _ = chsh
+    c5, _ = n_cycle(5)
+    cases = [(hex_s, quantum_like_hexagon(hex_s), None),
+             (chsh_s, noisy_pr_box(chsh_s), None),
+             (chsh_s, noisy_chsh_mixture(chsh_s), 1e-9)]
+    for s, picks in ((chsh_s, (1, 6, 11, 12)), (c5, (0, 7, 19, 30))):
+        desc = enumerate_vertices(s)
+        cases.append((s, mix_behaviors([desc.vertex_behavior(i) for i in picks],
+                                       [F(1, 2), F(1, 4), F(1, 6), F(1, 12)]), None))
+    reports = [membership_test(b, s, tol=tol).to_json(s) for s, b, tol in cases]
+    monkeypatch.setattr(polytope, "solve_feasibility",
+                        lambda rows, rhs: FeasibilityResult(*fraction_simplex(rows, rhs)))
+    assert [membership_test(b, s, tol=tol).to_json(s) for s, b, tol in cases] == reports
+    assert [r["member"] for r in reports] == [False, False, True, True, True]
 
 
 @st.composite

@@ -5,43 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_simplex
+from ksatlas.polytope import _membership_lp
 from ksatlas.ratlp import solve_feasibility
 
 F = Fraction
-
-
-def fraction_simplex(a_rows, b):
-    """Reference: the phase-1 Bland simplex on a Fraction tableau.
-    Returns (feasible, x, certificate, objective)."""
-    m, n = len(a_rows), len(a_rows[0])
-    tab = []
-    for i, (row, rhs) in enumerate(zip(a_rows, b)):
-        sign = -1 if rhs < 0 else 1
-        tab.append([sign * F(v) for v in row] + [F(int(j == i)) for j in range(m)]
-                   + [sign * F(rhs)])
-    width = n + m
-    basis = list(range(n, width))
-    red = [sum(r[j] for r in tab) - (j >= n and j < width) for j in range(width + 1)]
-    while True:
-        enter = next((j for j in range(width) if red[j] > 0), None)
-        if enter is None:
-            break
-        cand = [i for i in range(m) if tab[i][enter] > 0]
-        leave = min(cand, key=lambda i: (tab[i][width] / tab[i][enter], basis[i]))
-        row = [v / tab[leave][enter] for v in tab[leave]]
-        tab = [row if i == leave else [v - t[enter] * w for v, w in zip(t, row)]
-               for i, t in enumerate(tab)]
-        red = [v - red[enter] * w for v, w in zip(red, row)]
-        basis[leave] = enter
-    objective = sum(tab[i][width] for i in range(m) if basis[i] >= n)
-    if objective == 0:
-        x = [F(0)] * n
-        for i in range(m):
-            if basis[i] < n:
-                x[basis[i]] = tab[i][width]
-        return True, x, None, F(0)
-    y = [(red[n + i] + 1) * (-1 if b[i] < 0 else 1) for i in range(m)]
-    return False, None, y, objective
 
 
 def check_certificate(a_rows, b, y):
@@ -152,4 +120,49 @@ def test_feasibility_answer_is_certified(system):
     else:
         check_certificate(a, b, res.certificate)
         assert res.objective > 0
-    assert (res.feasible, res.x, res.certificate, res.objective) == fraction_simplex(a, b)
+    assert (res.feasible, res.x, res.certificate, res.objective,
+            res.pivots) == fraction_simplex(a, b)
+
+
+@st.composite
+def membership_systems(draw):
+    """Systems shaped like the membership LP, with 6-20 rows before the
+    extra ones: 0/1 vertex columns, the weight normalization and
+    optionally the slack block of polytope._membership_lp. The
+    right-hand side is a convex mixture of the columns (a member), a
+    point drawn independently of them (mostly a non-member), or a float
+    mixture with noise, rationalized exactly (denominators near 2^53).
+    Up to three rows that are Fraction combinations of others make the
+    system redundant and run the row-scaling path."""
+    tol = draw(st.sampled_from([0, 0, F(1e-9), F(1, 8)]))
+    d = draw(st.integers(5, 19) if tol == 0 else st.integers(3, 9))
+    n = draw(st.integers(1, 40))
+    coords = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                                    min_size=n, max_size=n)), dtype=np.uint8)
+    kind = draw(st.sampled_from(["member", "nonmember", "float"]))
+    if kind == "nonmember":
+        point = draw(st.lists(fractions, min_size=d, max_size=d))
+    else:
+        raw = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        raw[0] += not any(raw)
+        weights = [F(w, sum(raw)) for w in raw]
+        point = [sum(w * int(c) for w, c in zip(weights, col)) for col in coords.T]
+        if kind == "float":
+            noise = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+            point = [F(float(p) + 1e-12 * e) for p, e in zip(point, noise)]
+    a, b = _membership_lp(coords, point, tol)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        f, g = draw(fractions), draw(fractions)
+        a.append([f * u + g * v for u, v in zip(a[i], a[j])])
+        b.append(f * b[i] + g * b[j])
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(membership_systems())
+def test_membership_shaped_systems_take_the_reference_path(system):
+    a, b = system
+    res = solve_feasibility(a, b)
+    assert (res.feasible, res.x, res.certificate, res.objective,
+            res.pivots) == fraction_simplex(a, b)
