@@ -14,6 +14,7 @@ gives the upper end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -380,6 +381,33 @@ def _step_to_boundary(chol_inv, d):
     return -1.0 / low if low < 0 else np.inf
 
 
+def _strip_universal_and_isolated(graph):
+    """(core, k) with theta(graph) = theta(core) + k exactly.
+
+    A vertex adjacent to all others leaves theta unchanged (theta of a join
+    is the larger one) and an isolated vertex adds one (theta of a disjoint
+    union is the sum). Both make the SDP degenerate, and the interior-point
+    solve can stall before the interval closes to 1e-8.
+    """
+    adj = graph.adjacency_masks()
+    alive = (1 << graph.n) - 1
+    k = 0
+    changed = True
+    while changed:
+        changed = False
+        for v in _bits(alive):
+            nbrs = adj[v] & alive
+            if nbrs == 0:
+                k += 1
+            elif nbrs != alive ^ (1 << v):
+                continue
+            alive ^= 1 << v
+            changed = True
+    index = {v: i for i, v in enumerate(_bits(alive))}
+    core = tuple((index[a], index[b]) for a, b in graph.edges if a in index and b in index)
+    return Graph(len(index), core), k
+
+
 def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     """Certified interval (lower, upper) for the Lovasz number.
 
@@ -396,6 +424,9 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     - upper: lambda_max(J - sum_e y_e A_e) plus its eigen-residual margin,
       valid for any multipliers y (`_certified_upper`).
 
+    Universal and isolated vertices are first stripped exactly
+    (`_strip_universal_and_isolated`); the solve runs on what is left.
+
     Returns the best interval once it is at most tol wide. A failed
     factorization, a stalled step or _MAX_NEWTON_STEPS steps raise
     ConvergenceFailure with the best interval found.
@@ -404,9 +435,18 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
         raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
     if tol <= 0:
         raise InvalidTolerance("tol must be positive")
+    graph, k = _strip_universal_and_isolated(graph)
     n = graph.n
     if n == 0:
-        return (0.0, 0.0)
+        return (float(k), float(k))
+    # adding k rounds each end outward by at most 1.5 ulp(n + k)
+    gap = tol - 4 * math.ulp(n + k) if k else tol
+
+    def shifted(lo, hi):
+        if not k:
+            return (lo, hi)
+        return (math.nextafter(lo + k, -math.inf), math.nextafter(hi + k, math.inf))
+
     ei = np.array([e[0] for e in graph.edges], dtype=np.intp)
     ej = np.array([e[1] for e in graph.edges], dtype=np.intp)
     j, eye = np.ones((n, n)), np.eye(n)
@@ -448,8 +488,8 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
             x_ref[np.diag_indices(n)] += (1.0 - np.trace(x_ref)) / n
             lo = max(lo, _certified_lower_from_point(x_ref, n))
             hi = min(hi, _certified_upper(on_edges(j, -y[1:])))
-            if hi - lo <= tol:
-                return (lo, hi)
+            if hi - lo <= gap:
+                return shifted(lo, hi)
 
             lxi = np.linalg.inv(np.linalg.cholesky(x))
             lzi = np.linalg.inv(np.linalg.cholesky(z))
@@ -460,11 +500,24 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
             xz, xrd = x @ z, x @ rd
 
             def direction(rc):
-                """HKM step for X dZ + dX Z = rc with the residuals closed."""
-                dy = np.linalg.solve(m, a_op((rc + xrd) @ w) - rp)
+                """HKM step for X dZ + dX Z = rc with the residuals closed.
+
+                The Schur system grows ill-conditioned as mu -> 0, so dX is
+                put back on A(dX) = rp exactly: edge entries -X_e and a
+                multiple of I for the trace. Otherwise the iterate drifts off
+                the zero-edge face and the lower certificate pays for it.
+                """
+                rhs = a_op((rc + xrd) @ w) - rp
+                try:
+                    dy = np.linalg.solve(m, rhs)
+                except np.linalg.LinAlgError:  # singular to working precision
+                    dy = np.linalg.lstsq(m, rhs, rcond=None)[0]
                 dz = a_adj(dy) - rd
                 dx = (rc - x @ dz) @ w
-                return 0.5 * (dx + dx.T), dy, dz
+                dx = 0.5 * (dx + dx.T)
+                dx[ei, ej] = dx[ej, ei] = -x[ei, ej]
+                dx[np.diag_indices(n)] += (rp[0] - np.trace(dx)) / n
+                return dx, dy, dz
 
             mu = np.trace(xz) / n
             dx, dy, dz = direction(-xz)
@@ -480,7 +533,7 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
             x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
     except np.linalg.LinAlgError as exc:
         why = f"linear algebra failed: {exc}"
-    raise ConvergenceFailure(f"theta interval {(lo, hi)} wider than tol={tol}: {why}")
+    raise ConvergenceFailure(f"theta interval {shifted(lo, hi)} wider than tol={tol}: {why}")
 
 
 def contextuality_ratio(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):

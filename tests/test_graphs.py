@@ -283,6 +283,41 @@ def test_theta_interval_stays_ordered_below_rounding():
             assert lo <= hi, (g, lo, hi)
 
 
+# degenerate SDPs on which the interior-point solve used to stall or hit a
+# singular Schur matrix before reaching tol=1e-8
+DEGENERATE_THETA = [
+    # prime graph, theta = 4
+    (Graph(10, ((0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 5), (1, 8), (2, 4),
+                (2, 5), (2, 7), (2, 8), (3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7),
+                (5, 9), (6, 7), (6, 9), (7, 8), (8, 9))), 4),
+    # prime graph, theta = 3
+    (Graph(6, ((0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5))), 3),
+    # vertex 3 is universal
+    (Graph(7, ((0, 3), (0, 5), (0, 6), (1, 3), (1, 5), (1, 6), (2, 3), (2, 4), (3, 4),
+               (3, 5), (3, 6), (4, 5), (4, 6))), 3),
+    # C4 + 2 K2 + 3 isolated vertices
+    (Graph(11, ((0, 8), (0, 9), (1, 7), (2, 5), (8, 10), (9, 10))), 7),
+]
+
+
+@pytest.mark.parametrize("g, theta", DEGENERATE_THETA)
+def test_theta_reaches_tight_tol_on_degenerate_graphs(g, theta):
+    lo, hi = lovasz_theta(g, tol=1e-8)
+    assert hi - lo <= 1e-8
+    assert lo <= theta <= hi
+
+
+def test_theta_strips_universal_and_isolated_vertices_exactly():
+    c5 = cycle_graph(5)
+    lo, hi = lovasz_theta(c5, tol=1e-8)
+    # join a universal vertex 5, then add isolated vertices 6 and 7
+    g = Graph(8, c5.edges + tuple((v, 5) for v in range(5)))
+    glo, ghi = lovasz_theta(g, tol=1e-8)
+    assert ghi - glo <= 1e-8
+    assert glo <= 2 + math.sqrt(5) <= ghi
+    assert abs(glo - (lo + 2)) <= 1e-8 and abs(ghi - (hi + 2)) <= 1e-8
+
+
 def circulant(n, jumps):
     return Graph(n, tuple((i, (i + d) % n) for i in range(n) for d in jumps))
 
