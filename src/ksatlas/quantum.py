@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .errors import (
     NotAPOVM,
     NotDichotomic,
     RankDeficiencyAmbiguous,
+    SizeLimitExceeded,
 )
-from .polytope import classical_bound
+from .polytope import MEMORY_BUDGET, classical_bound
 from .scenario import (
     Behavior,
     Inequality,
@@ -311,27 +313,78 @@ def _sym_product(mats):
     return acc / math.factorial(len(mats))
 
 
-def _objective_operator(subsets, const, observables, dim):
-    b = const * np.eye(dim, dtype=complex)
+class _Terms(NamedTuple):
+    """The correlator expansion held for the seesaw kernels: the constant,
+    the single-measurement coefficients, the symmetric pair matrix C (zero
+    diagonal; C[i, j] is the coefficient of Sym(M_i M_j)), the terms of 3 or
+    more members, and the colour classes of the term graph."""
+
+    const: float
+    linear: np.ndarray
+    pairs: np.ndarray
+    higher: tuple
+    classes: tuple
+
+
+def _colour_classes(keys, n_meas):
+    """Greedy colouring, in index order, of the term graph: measurements
+    are adjacent when one term holds both. Returns the classes as index
+    arrays; no term has two members in one class."""
+    colour = []
+    for m in range(n_meas):
+        used = {colour[j] for members in keys if m in members for j in members if j < m}
+        colour.append(min(set(range(len(used) + 1)) - used))
+    colour = np.array(colour, dtype=int)
+    return tuple(np.flatnonzero(colour == c) for c in range(colour.max(initial=-1) + 1))
+
+
+def _split_terms(subsets, const, n_meas):
+    linear = np.zeros(n_meas)
+    pairs = np.zeros((n_meas, n_meas), dtype=complex)
+    higher = []
     for members, coef in subsets.items():
-        b = b + coef * _sym_product([observables[m] for m in members])
+        if len(members) == 1:
+            linear[members[0]] += coef
+        elif len(members) == 2:
+            pairs[members] += coef
+            pairs[members[::-1]] += coef
+        else:
+            higher.append((members, coef))
+    return _Terms(const, linear, pairs, tuple(higher), _colour_classes(subsets, n_meas))
+
+
+def _objective(terms, obs):
+    """Objective operator of each restart, from its (R, n, d, d) stack of
+    observables: const + sum_m a_m M_m + 1/2 sum_s M_s N_s, N = C M, plus
+    the symmetrized products of the larger terms."""
+    r, n_meas, dim, _ = obs.shape
+    flat = obs.reshape(r, n_meas, dim * dim)
+    n_mat = (terms.pairs @ flat).reshape(obs.shape)
+    b = (0.5 * (obs @ n_mat).sum(axis=1) + (terms.linear @ flat).reshape(r, dim, dim)
+         + terms.const * np.eye(dim))
+    for members, coef in terms.higher:
+        b = b + coef * _sym_product([obs[:, m] for m in members])
     return b
 
 
-def _effective_operator(subsets, observables, rho, target):
-    """F with Tr(M_target F) the target-linear part of the objective,
-    under full symmetrization of each product.
+def _class_operator(terms, obs, rho, cls):
+    """(R, |cls|, d, d) stack of F_t, t in cls: Tr(M_t F_t) is the part of
+    the objective linear in M_t under the states rho (R, d, d).
 
-    Tr(rho pre M_t post) = Tr(M_t post rho pre), and over the orderings
-    of a subset S containing t, post rho pre runs once through every
-    ordering of rho with the other members. So
-    F_t = sum over S containing t of c_S Sym(rho, M_{S minus t}).
-    """
-    f = np.zeros_like(rho)
-    for members, coef in subsets.items():
-        if target in members:
-            others = [observables[m] for m in members if m != target]
-            f = f + coef * _sym_product([rho, *others])
+    Pair terms give 1/2 (rho N_t + N_t rho) and single terms a_t rho.
+    Tr(rho pre M_t post) = Tr(M_t post rho pre), and over the orderings of
+    a larger term S containing t, post rho pre runs once through every
+    ordering of rho with the other members, so S adds c_S Sym(rho, M_{S-t}).
+    No term holds two members of a class, so no F_t reads another."""
+    r, n_meas, dim, _ = obs.shape
+    n_cls = (terms.pairs[cls] @ obs.reshape(r, n_meas, dim * dim)).reshape(r, len(cls), dim, dim)
+    rho = rho[:, None]
+    f = 0.5 * (rho @ n_cls + n_cls @ rho) + terms.linear[cls, None, None] * rho
+    for k, t in enumerate(cls):
+        for members, coef in terms.higher:
+            if t in members:
+                others = [obs[:, m] for m in members if m != t]
+                f[:, k] += coef * _sym_product([rho[:, 0], *others])
     return f
 
 
@@ -342,13 +395,17 @@ def _require_dichotomic(scenario):
                                 "not the +-1 of an observable")
 
 
-def _random_observable(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _random_observables(dim, rng, count):
+    """(count, d, d) stack of random +-1 observables with both signs, drawn
+    one after another from rng and orthonormalized by one stacked QR."""
+    g = np.empty((count, dim, dim), dtype=complex)
+    signs = np.empty((count, dim))
+    for k in range(count):
+        g[k] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        signs[k] = rng.integers(0, 2, size=dim) * 2.0 - 1.0
+    signs[(signs == signs[:, :1]).all(axis=1), 0] *= -1.0
     q, _ = np.linalg.qr(g)
-    signs = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-    if np.all(signs == signs[0]):
-        signs[0] = -signs[0]
-    return herm((q * signs) @ q.conj().T)
+    return herm((q * signs[:, None, :]) @ q.conj().swapaxes(-1, -2))
 
 
 def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
@@ -360,63 +417,66 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     fully symmetrized so the objective stays Hermitian off the commuting
     manifold (the orderings are closed under reversal). State updates
     take the top eigenvector of the objective operator, observable
-    updates the polar sign of the effective operator
-    F_t = sum over subsets S containing t of c_S Sym(rho, M_{S minus t}),
-    since Tr(rho pre M_t post) = Tr(M_t post rho pre); both are exact
-    block maximizers, so the value is monotone within a run.
+    updates the polar sign of the effective operator F_t, whose trace
+    with M_t is the part of the objective linear in M_t (_class_operator).
+
+    The observables update by the colour classes of the term graph
+    (measurements adjacent when one term holds both, coloured greedily in
+    index order: 2 classes for even cycles and CHSH, 3 for odd cycles). No
+    term holds two members of a class, so the objective is separately
+    linear in each member and one polar sign per member, all taken at
+    once, is the exact maximizer over the whole class. Every update is an
+    exact block maximizer, so the value is monotone within a run; a drop
+    by more than 1e-9 raises ConvergenceFailure.
 
     The restarts are independent and run as one stack: every restart's
     starting observables are drawn up front (restart by restart, so the
     random stream is that of running them one after another), and each
     step is one stacked eigendecomposition of the objective and one
-    stacked polar sign per measurement. Within a step the measurements
-    update in order, each from the ones already updated. A restart
-    leaves the stack when its value moves by at most SEESAW_FTOL
+    stacked polar sign per class, over its members and the live restarts.
+    A restart leaves the stack when its value moves by at most SEESAW_FTOL
     relative to 1 + |value|; iterations sums the restarts' steps. The
     best value over all restarts (the first restart reaching it gives the
     model) is a lower bound on the quantum maximum. The model's effects
     follow the scenario's outcome order: outcome l of observable M gets
-    (I + l M)/2.
+    (I + l M)/2. A stack of more than polytope.MEMORY_BUDGET entries
+    (measurements x restarts x dim^2) raises SizeLimitExceeded before it
+    is allocated.
     """
     _require_dichotomic(scenario)
     if dim < 2:
         raise InvalidModel("dim must be >= 2")
     if restarts < 1:
         raise InvalidModel("restarts must be >= 1")
-    subsets_frac, const_frac = correlator_decomposition(scenario, inequality)
-    subsets = {k: float(v) for k, v in subsets_frac.items()}
-    const = float(const_frac)
     n_meas = len(scenario.measurements)
+    if n_meas * restarts * dim * dim > MEMORY_BUDGET:
+        raise SizeLimitExceeded(
+            f"{restarts} restarts of {n_meas} observables of dimension {dim} exceed "
+            f"the budget of {MEMORY_BUDGET} stored entries")
+    subsets, const = correlator_decomposition(scenario, inequality)
+    terms = _split_terms({k: float(v) for k, v in subsets.items()}, float(const), n_meas)
     rng = np.random.default_rng(seed)
 
-    # per measurement, the (R, d, d) stack of every restart's observable,
-    # drawn restart by restart
-    final = [np.empty((restarts, dim, dim), dtype=complex) for _ in range(n_meas)]
-    for r in range(restarts):
-        for m in range(n_meas):
-            final[m][r] = _random_observable(dim, rng)
-    # the live restarts' rows; polar_sign makes new arrays, so `final` is
-    # written only when a restart leaves
-    observables = list(final)
+    # (R, n, d, d): every restart's observables, drawn restart by restart;
+    # `obs` holds the live restarts' rows, `final` gets a row when its
+    # restart leaves
+    final = _random_observables(dim, rng, restarts * n_meas).reshape(
+        restarts, n_meas, dim, dim)
+    obs = final.copy()
     live = np.arange(restarts)
     prev = np.full(restarts, -np.inf)
     converged = np.zeros(restarts, dtype=bool)
     total_iters = 0
 
-    def top(obs, stack):
-        # a constant objective (no subsets) is one matrix for the whole stack
-        b = _objective_operator(subsets, const, obs, dim)
-        return eigh_sorted(np.broadcast_to(b, (stack, dim, dim)))
-
     for _ in range(iters):
         if not live.size:
             break
         total_iters += live.size
-        vals, vecs = top(observables, live.size)
+        vals, vecs = eigh_sorted(_objective(terms, obs))
         state = vecs[..., -1]
         rho = state[:, :, None] * state.conj()[:, None, :]
-        for m in range(n_meas):
-            observables[m] = polar_sign(_effective_operator(subsets, observables, rho, m))
+        for cls in terms.classes:
+            obs[:, cls] = polar_sign(_class_operator(terms, obs, rho, cls))
         val = vals[:, -1]
         if np.any(val < prev - 1e-9):
             raise ConvergenceFailure("seesaw lost monotonicity")
@@ -424,18 +484,15 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
         prev = val
         if done.any():
             converged[live[done]] = True
-            for m in range(n_meas):
-                final[m][live[done]] = observables[m][done]
-                observables[m] = observables[m][~done]
-            live, prev = live[~done], prev[~done]
-    for m in range(n_meas):
-        final[m][live] = observables[m]
+            final[live[done]] = obs[done]
+            obs, live, prev = obs[~done], live[~done], prev[~done]
+    final[live] = obs
 
-    vals, vecs = top(final, restarts)
+    vals, vecs = eigh_sorted(_objective(terms, final))
     best = int(np.argmax(vals[:, -1]))
     effects = tuple(
-        tuple(0.5 * (np.eye(dim) + label * o[best]) for label in outs)
-        for o, outs in zip(final, scenario.outcomes)
+        tuple(0.5 * (np.eye(dim) + label * o) for label in outs)
+        for o, outs in zip(final[best], scenario.outcomes)
     )
     model = QuantumModel(dim, vecs[best, :, -1], effects)
     return SeesawResult(float(vals[best, -1]), model, bool(converged[best]),

@@ -160,6 +160,21 @@ def test_seesaw_failure_exits_3_without_traceback(workdir, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_seesaw_over_memory_budget_exits_3(workdir, capsys, monkeypatch):
+    import ksatlas.quantum as quantum
+
+    def no_draw(*args):
+        raise AssertionError("observables drawn past the memory guard")
+
+    monkeypatch.setattr(quantum, "_random_observables", no_draw)
+    code = main(["qvalue", "pearle.scenario.json", "pearle.gamma.json",
+                 "--dim", "100000", "--restarts", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource limit: ")
+    assert "Traceback" not in err
+
+
 def test_theta_failure_exits_3_without_traceback(tmp_path, capsys):
     gpath = tmp_path / "c5.json"
     gpath.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))

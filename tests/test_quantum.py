@@ -16,13 +16,16 @@ from ksatlas.errors import (
     NotAPOVM,
     NotDichotomic,
     RankDeficiencyAmbiguous,
+    SizeLimitExceeded,
 )
 from ksatlas.quantum import (
     SEESAW_FTOL,
     QuantumModel,
-    _effective_operator,
-    _objective_operator,
-    _random_observable,
+    _class_operator,
+    _colour_classes,
+    _objective,
+    _random_observables,
+    _split_terms,
     _sym_product,
     SICSet,
     _drop_measurement,
@@ -243,6 +246,9 @@ def test_seesaw_chsh_joint_dimension_four():
     scenario, ineq = chsh_example()
     res = seesaw_max(ineq, scenario, dim=4, restarts=10, seed=2)
     assert abs(res.value - 2 * math.sqrt(2)) < 1e-6
+    # Alice's and Bob's observables are the two colour classes
+    subsets, _ = correlator_decomposition(scenario, ineq)
+    assert [c.tolist() for c in _colour_classes(subsets, 4)] == [[0, 1], [2, 3]]
 
 
 def test_seesaw_model_is_consistent_with_its_value():
@@ -277,28 +283,52 @@ def _pre_post_effective_operator(subsets, observables, rho, target, dim):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_effective_operator_is_the_target_linear_part(data):
+    # subsets of 1 to 4 members: single terms, the pair matrix and the
+    # ordering products of the larger terms
     dim = data.draw(st.integers(2, 4))
     n_meas = data.draw(st.integers(1, 5))
     members = st.sets(st.integers(0, n_meas - 1), min_size=1, max_size=min(4, n_meas))
     keys = data.draw(st.lists(members, min_size=1, max_size=6, unique_by=frozenset))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     subsets = {tuple(sorted(k)): float(rng.normal()) for k in keys}
-    observables = [_random_observable(dim, rng) for _ in range(n_meas)]
+    terms = _split_terms(subsets, 0.0, n_meas)
+    observables = _random_observables(dim, rng, n_meas)
     psi = random_state(dim, rng)
     rho = np.outer(psi, psi.conj())
     x = herm(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
     def value(target, m_t):
-        obs = list(observables)
+        obs = observables.copy()
         obs[target] = m_t
-        return np.trace(rho @ _objective_operator(subsets, 0.0, obs, dim)).real
+        return np.trace(rho @ _objective(terms, obs[None])[0]).real
 
-    for target in range(n_meas):
-        f = _effective_operator(subsets, observables, rho, target)
-        linear = value(target, x) - value(target, np.zeros((dim, dim), dtype=complex))
-        assert abs(np.trace(x @ f).real - linear) < 1e-12
-        reference = _pre_post_effective_operator(subsets, observables, rho, target, dim)
-        assert np.abs(f - reference).max() < 1e-12
+    for cls in terms.classes:
+        f = _class_operator(terms, observables[None], rho[None], cls)[0]
+        for k, target in enumerate(cls):
+            linear = value(target, x) - value(target, np.zeros((dim, dim), dtype=complex))
+            assert abs(np.trace(x @ f[k]).real - linear) < 1e-12
+            reference = _pre_post_effective_operator(subsets, observables, rho, target, dim)
+            assert np.abs(f[k] - reference).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_colour_classes_partition_and_split_every_term(data):
+    n_meas = data.draw(st.integers(1, 8))
+    members = st.sets(st.integers(0, n_meas - 1), min_size=1, max_size=min(4, n_meas))
+    keys = [tuple(sorted(k)) for k in data.draw(st.lists(members, max_size=10))]
+    classes = _colour_classes(keys, n_meas)
+    assert sorted(np.concatenate(classes).tolist()) == list(range(n_meas))
+    colour = {int(m): c for c, cls in enumerate(classes) for m in cls}
+    for k in keys:
+        assert len({colour[m] for m in k}) == len(k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 40))
+def test_cycle_term_graphs_take_two_or_three_classes(n):
+    subsets, _ = correlator_decomposition(*n_cycle(n))
+    assert len(_colour_classes(subsets, n)) == (2 if n % 2 == 0 else 3)
 
 
 def test_seesaw_reaches_the_pm_witness_value(pm):
@@ -310,26 +340,27 @@ def test_seesaw_reaches_the_pm_witness_value(pm):
 
 
 def _sequential_seesaw_max(inequality, scenario, dim, restarts, iters=300, seed=0):
-    """seesaw_max with the restarts run one after another: (value,
-    iterations, converged, state, observables) of the best restart."""
-    subsets_frac, const_frac = correlator_decomposition(scenario, inequality)
-    subsets = {k: float(v) for k, v in subsets_frac.items()}
-    const = float(const_frac)
+    """seesaw_max with the restarts run one after another, each step
+    sweeping the colour classes in order: (value, iterations, converged,
+    state, observables) of the best restart."""
+    subsets, const = correlator_decomposition(scenario, inequality)
     n_meas = len(scenario.measurements)
+    terms = _split_terms({k: float(v) for k, v in subsets.items()}, float(const), n_meas)
     rng = np.random.default_rng(seed)
     best = (-np.inf,)
     total_iters = 0
     for _ in range(restarts):
-        observables = [_random_observable(dim, rng) for _ in range(n_meas)]
+        observables = _random_observables(dim, rng, n_meas)
         prev = -np.inf
         converged = False
         for _ in range(iters):
             total_iters += 1
-            vals, vecs = eigh_sorted(_objective_operator(subsets, const, observables, dim))
+            vals, vecs = eigh_sorted(_objective(terms, observables[None])[0])
             state = vecs[:, -1]
             rho = np.outer(state, state.conj())
-            for m in range(n_meas):
-                observables[m] = polar_sign(_effective_operator(subsets, observables, rho, m))
+            for cls in terms.classes:
+                observables[cls] = polar_sign(
+                    _class_operator(terms, observables[None], rho[None], cls)[0])
             val = float(vals[-1])
             if val < prev - 1e-9:
                 raise ConvergenceFailure("seesaw lost monotonicity")
@@ -337,9 +368,9 @@ def _sequential_seesaw_max(inequality, scenario, dim, restarts, iters=300, seed=
                 converged = True
                 break
             prev = val
-        vals, vecs = eigh_sorted(_objective_operator(subsets, const, observables, dim))
+        vals, vecs = eigh_sorted(_objective(terms, observables[None])[0])
         if float(vals[-1]) > best[0]:
-            best = (float(vals[-1]), converged, vecs[:, -1], list(observables))
+            best = (float(vals[-1]), converged, vecs[:, -1], observables)
     value, converged, state, observables = best
     return value, total_iters, converged, state, observables
 
@@ -351,6 +382,15 @@ def _seesaw_cases():
     yield pytest.param(*chsh_example(), 4, 10, 2, id="chsh-d4")
     pm = pm_square()
     yield pytest.param(pm.scenario, pm.witness, 4, 2, 1, id="pm-d4")
+    # P(A1 = 1) + P(A1 = -1): a constant, so the pair matrix is zero and
+    # every observable is polar_sign(0) = I
+    s, chsh = chsh_example()
+    yield pytest.param(s, Inequality((((0,), (1,), 1), ((0,), (-1,), 1)), 1), 2, 3, 1,
+                       id="constant-d2")
+    # CHSH with a fifth measurement that no term mentions
+    s = build_scenario(["A1", "A2", "B1", "B2", "C"], [2] * 5,
+                       [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)])
+    yield pytest.param(s, chsh, 4, 3, 1, id="chsh-unmentioned-d4")
 
 
 @pytest.mark.parametrize("scenario,ineq,dim,restarts,seed", _seesaw_cases())
@@ -363,6 +403,20 @@ def test_stacked_seesaw_matches_sequential_restarts(scenario, ineq, dim, restart
     for (plus, minus), o in zip(res.model.effects, observables):
         assert np.array_equal(plus, 0.5 * (np.eye(dim) + o))
         assert np.array_equal(minus, 0.5 * (np.eye(dim) - o))
+
+
+def test_seesaw_memory_guard_fires_before_allocating(monkeypatch):
+    # 4 observables x 1 restart x (2^14)^2 entries is above MEMORY_BUDGET;
+    # a draw would allocate, so drawing fails the test instead
+    import ksatlas.quantum as quantum
+
+    def no_draw(*args):
+        raise AssertionError("observables drawn past the memory guard")
+
+    monkeypatch.setattr(quantum, "_random_observables", no_draw)
+    scenario, ineq = chsh_example()
+    with pytest.raises(SizeLimitExceeded):
+        seesaw_max(ineq, scenario, dim=2 ** 14, restarts=1)
 
 
 def test_seesaw_requires_dichotomic_outcomes():
