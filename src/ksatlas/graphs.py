@@ -5,11 +5,15 @@ scenarios (cliques = contexts, multipartite structure = party structure)
 and exclusivity graphs of witnesses (independence number bounds the
 classical value, the Lovasz number the quantum one).
 
-The independence number is exact (branch and bound). The Lovasz number is
-a certified interval from one primal-dual interior-point solve of its SDP:
-a feasible primal point, made exactly feasible by a diagonal shift, gives
-the lower end, and lambda_max of the dual matrix plus its eigen-residual
-gives the upper end.
+The independence number is exact (branch and bound). The Lovasz number
+is first bracketed by Lovasz's sandwich theorem, alpha <= theta <= clique
+cover number, with two integer certificates from greedy passes: an
+independent set (minimum degree first) and a clique cover (a DSATUR
+colouring of the complement). When their sizes meet, theta is that
+integer exactly. Otherwise it is a certified interval from one primal-dual
+interior-point solve of its SDP: a feasible primal point, made exactly
+feasible by a diagonal shift, gives the lower end, and lambda_max of the
+dual matrix plus its eigen-residual gives the upper end.
 """
 
 from __future__ import annotations
@@ -408,10 +412,57 @@ def _strip_universal_and_isolated(graph):
     return Graph(len(index), core), k
 
 
+def _greedy_independent_set(adj):
+    """Independent set by the minimum-degree greedy rule: take the vertex
+    with the fewest neighbours among those left (lowest index on ties),
+    then drop it and its neighbours. adj holds the neighbourhood bitsets."""
+    alive = (1 << len(adj)) - 1
+    chosen = []
+    while alive:
+        v = min(_bits(alive), key=lambda u: (adj[u] & alive).bit_count())
+        chosen.append(v)
+        alive &= ~(adj[v] | (1 << v))
+    return chosen
+
+
+def _greedy_clique_cover(adj):
+    """Cliques covering every vertex: the colour classes of a DSATUR
+    colouring of the complement (Brelaz, Commun. ACM 22, 1979). The next
+    vertex has the most distinct colours among its coloured non-neighbours,
+    then the most non-neighbours, then the lowest index; it takes the
+    lowest colour that none of them has."""
+    n = len(adj)
+    full = (1 << n) - 1
+    non_adj = [full ^ adj[v] ^ (1 << v) for v in range(n)]
+    deg = [m.bit_count() for m in non_adj]
+    seen = [0] * n  # colours of each vertex's coloured non-neighbours, as bits
+    cliques = []
+    left = full
+    while left:
+        v = max(_bits(left), key=lambda u: (seen[u].bit_count(), deg[u], -u))
+        c = (~seen[v] & (seen[v] + 1)).bit_length() - 1
+        if c == len(cliques):
+            cliques.append(0)
+        cliques[c] |= 1 << v
+        left ^= 1 << v
+        for u in _bits(non_adj[v] & left):
+            seen[u] |= 1 << c
+    return [tuple(_bits(m)) for m in cliques]
+
+
 def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     """Certified interval (lower, upper) for the Lovasz number.
 
-    The primal SDP  max <J,X>  s.t.  Tr X = 1, X_ij = 0 on edges, X psd
+    The sandwich theorem alpha <= theta <= clique cover number (Lovasz,
+    IEEE Trans. Inf. Theory 25, 1979) is tried first, with two integer
+    certificates from O(n^2) greedy passes: an independent set
+    (`_greedy_independent_set`) and a clique cover (`_greedy_clique_cover`).
+    When both have size k, theta = k and (k, k) is returned exactly.
+
+    Otherwise the interval comes from the SDP (`_sdp_theta`): universal
+    and isolated vertices are stripped exactly
+    (`_strip_universal_and_isolated`), and the primal SDP
+    max <J,X>  s.t.  Tr X = 1, X_ij = 0 on edges, X psd
     and its dual  min t  s.t.  Z = t I + sum_e y_e A_e - J psd  (A_e the
     symmetric unit matrix of edge e) are solved together by the HRVW/XZ
     primal-dual interior-point method (Helmberg, Rendl, Vanderbei and
@@ -424,17 +475,26 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     - upper: lambda_max(J - sum_e y_e A_e) plus its eigen-residual margin,
       valid for any multipliers y (`_certified_upper`).
 
-    Universal and isolated vertices are first stripped exactly
-    (`_strip_universal_and_isolated`); the solve runs on what is left.
-
     Returns the best interval once it is at most tol wide. A failed
-    factorization, a stalled step or _MAX_NEWTON_STEPS steps raise
-    ConvergenceFailure with the best interval found.
+    factorization, a stalled step or _MAX_NEWTON_STEPS steps end the solve;
+    the greedy independent set of what is left then raises the lower end
+    to its size if that is higher, and if the interval is still wider than
+    tol, ConvergenceFailure carries it.
     """
     if graph.n > size_limit:
         raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
     if tol <= 0:
         raise InvalidTolerance("tol must be positive")
+    adj = graph.adjacency_masks()
+    k = len(_greedy_independent_set(adj))
+    if k == len(_greedy_clique_cover(adj)):
+        return (float(k), float(k))
+    return _sdp_theta(graph, tol)
+
+
+def _sdp_theta(graph, tol):
+    """lovasz_theta's interval from the interior-point solve alone, after
+    the exact strip of universal and isolated vertices."""
     graph, k = _strip_universal_and_isolated(graph)
     n = graph.n
     if n == 0:
@@ -533,6 +593,11 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
             x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
     except np.linalg.LinAlgError as exc:
         why = f"linear algebra failed: {exc}"
+    # an independent set is an exact lower end; where the solve stalls on a
+    # degenerate optimal face, theta often equals alpha and this closes it
+    lo = max(lo, float(len(_greedy_independent_set(graph.adjacency_masks()))))
+    if hi - lo <= gap:
+        return shifted(lo, hi)
     raise ConvergenceFailure(f"theta interval {shifted(lo, hi)} wider than tol={tol}: {why}")
 
 

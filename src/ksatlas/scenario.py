@@ -304,28 +304,34 @@ def correlator_decomposition(scenario, inequality):
     Returns ({subset: Fraction}, constant): the inequality value on any
     behavior equals constant + sum over subsets of coef * <prod M_i>.
     Requires every referenced measurement to be dichotomic +-1.
+
+    A term on k members spreads coef / 2^k over the 2^k subsets. Every
+    share is accumulated as an integer numerator over the common
+    denominator 2^(largest k) * lcm(coefficient denominators), and each
+    subset's Fraction is built once at the end.
     """
-    coeffs = {}
-    const = Fraction(0)
-    for members, asg, coef in inequality.terms:
+    terms = inequality.terms
+    for m in dict.fromkeys(m for members, _, _ in terms for m in members):
+        if set(scenario.outcomes[m]) != {1, -1}:
+            raise ScenarioMismatch(f"measurement {m} is not a +-1 observable")
+    top = max((len(members) for members, _, _ in terms), default=0)
+    den = math.lcm(*(coef.denominator for _, _, coef in terms)) << top
+    nums = {}
+    const = 0
+    for members, asg, coef in terms:
         k = len(members)
-        for m in members:
-            if set(scenario.outcomes[m]) != {1, -1}:
-                raise ScenarioMismatch(
-                    f"measurement {m} is not a +-1 observable")
-        w = Fraction(coef, 2 ** k)
-        for r in range(k + 1):
+        w = coef.numerator * (den // (coef.denominator << k))
+        signs = [1 if o == 1 else -1 for o in asg]
+        const += w  # the empty subset
+        for r in range(1, k + 1):
             for subset in itertools.combinations(range(k), r):
-                sign = 1
+                v = w
                 for pos in subset:
-                    sign *= asg[pos]
+                    v *= signs[pos]
                 key = tuple(members[pos] for pos in subset)
-                if key == ():
-                    const += w * sign
-                else:
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + w * sign
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    return coeffs, const
+                nums[key] = nums.get(key, 0) + v
+    coeffs = {key: Fraction(v, den) for key, v in nums.items() if v}
+    return coeffs, Fraction(const, den)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from ksatlas.errors import ConvergenceFailure, SizeLimitExceeded
 from ksatlas.graphs import (
     Graph,
+    _greedy_clique_cover,
+    _greedy_independent_set,
+    _sdp_theta,
     complete_graph,
     complete_multipartite_graph,
     contextuality_ratio,
@@ -256,8 +259,8 @@ def test_theta_unreachable_tol_raises_convergence_failure():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 16))
+def small_graphs(draw, max_n=16):
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
@@ -266,9 +269,10 @@ def small_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs(), tol=st.sampled_from([1e-4, 1e-6, 1e-8]))
 def test_theta_interval_is_ordered_and_tol_wide(g, tol):
-    lo, hi = lovasz_theta(g, tol=tol)
-    assert lo <= hi
-    assert hi - lo <= tol
+    for theta in (lovasz_theta, _sdp_theta):
+        lo, hi = theta(g, tol=tol)
+        assert lo <= hi
+        assert hi - lo <= tol
 
 
 def test_theta_interval_stays_ordered_below_rounding():
@@ -284,7 +288,9 @@ def test_theta_interval_stays_ordered_below_rounding():
 
 
 # degenerate SDPs on which the interior-point solve used to stall or hit a
-# singular Schur matrix before reaching tol=1e-8
+# singular Schur matrix before reaching tol=1e-8; each has alpha = clique
+# cover number, so lovasz_theta closes them without the solve and the tests
+# run _sdp_theta on them as well
 DEGENERATE_THETA = [
     # prime graph, theta = 4
     (Graph(10, ((0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (1, 5), (1, 8), (2, 4),
@@ -297,25 +303,33 @@ DEGENERATE_THETA = [
                (3, 5), (3, 6), (4, 5), (4, 6))), 3),
     # C4 + 2 K2 + 3 isolated vertices
     (Graph(11, ((0, 8), (0, 9), (1, 7), (2, 5), (8, 10), (9, 10))), 7),
+    # theta = alpha = 4: the Newton step stalls 1e-8 to 1e-7 wide, and the
+    # independent-set lower end closes the interval
+    (Graph(8, ((0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (2, 6), (2, 7),
+               (3, 4), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7))), 4),
+    (Graph(9, ((0, 1), (0, 8), (1, 3), (1, 4), (2, 4), (2, 6), (3, 8), (4, 6), (5, 7),
+               (6, 8))), 4),
 ]
 
 
 @pytest.mark.parametrize("g, theta", DEGENERATE_THETA)
 def test_theta_reaches_tight_tol_on_degenerate_graphs(g, theta):
-    lo, hi = lovasz_theta(g, tol=1e-8)
-    assert hi - lo <= 1e-8
-    assert lo <= theta <= hi
+    for solve in (lovasz_theta, _sdp_theta):
+        lo, hi = solve(g, tol=1e-8)
+        assert hi - lo <= 1e-8
+        assert lo <= theta <= hi
 
 
 def test_theta_strips_universal_and_isolated_vertices_exactly():
     c5 = cycle_graph(5)
-    lo, hi = lovasz_theta(c5, tol=1e-8)
     # join a universal vertex 5, then add isolated vertices 6 and 7
     g = Graph(8, c5.edges + tuple((v, 5) for v in range(5)))
-    glo, ghi = lovasz_theta(g, tol=1e-8)
-    assert ghi - glo <= 1e-8
-    assert glo <= 2 + math.sqrt(5) <= ghi
-    assert abs(glo - (lo + 2)) <= 1e-8 and abs(ghi - (hi + 2)) <= 1e-8
+    for theta in (lovasz_theta, _sdp_theta):
+        lo, hi = theta(c5, tol=1e-8)
+        glo, ghi = theta(g, tol=1e-8)
+        assert ghi - glo <= 1e-8
+        assert glo <= 2 + math.sqrt(5) <= ghi
+        assert abs(glo - (lo + 2)) <= 1e-8 and abs(ghi - (hi + 2)) <= 1e-8
 
 
 def circulant(n, jumps):
@@ -353,6 +367,71 @@ def test_theta_product_at_least_n_on_random_graphs():
         _, hi = lovasz_theta(g, tol=1e-6)
         _, chi = lovasz_theta(g.complement(), tol=1e-6)
         assert hi * chi >= g.n
+
+
+# -- the sandwich step ------------------------------------------------------------
+
+def brute_clique_cover(g):
+    """Least number of cliques partitioning the vertices, by backtracking."""
+    best, cliques = g.n, []
+
+    def place(v):
+        nonlocal best
+        if len(cliques) >= best:
+            return
+        if v == g.n:
+            best = len(cliques)
+            return
+        for c in cliques:
+            if all(g.has_edge(u, v) for u in c):
+                c.append(v)
+                place(v + 1)
+                c.pop()
+        cliques.append([v])
+        place(v + 1)
+        cliques.pop()
+
+    place(0)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(max_n=12))
+def test_sandwich_certificates_are_exact(g):
+    adj = g.adjacency_masks()
+    ind = _greedy_independent_set(adj)
+    assert len(set(ind)) == len(ind)
+    assert not any(g.has_edge(a, b) for a, b in itertools.combinations(ind, 2))
+    cover = _greedy_clique_cover(adj)
+    assert sorted(v for c in cover for v in c) == list(range(g.n))
+    assert all(g.has_edge(a, b) for c in cover for a, b in itertools.combinations(c, 2))
+    lo, hi = lovasz_theta(g, tol=1e-6)
+    if len(ind) == len(cover):
+        assert (lo, hi) == (float(len(ind)), float(len(ind)))
+    if lo == hi:
+        assert lo == independence_number(g) == brute_clique_cover(g)
+
+
+def test_sandwich_closes_kneser_6_2():
+    assert lovasz_theta(kneser(6, 2)) == (5.0, 5.0)
+
+
+def test_sandwich_closes_perfect_graphs_at_any_tol():
+    # C5 at this tol raises (test_theta_unreachable_tol_raises_convergence_failure)
+    assert lovasz_theta(cycle_graph(6), tol=1e-300) == (3.0, 3.0)
+    assert lovasz_theta(complete_multipartite_graph([2, 3, 4]), tol=1e-300) == (4.0, 4.0)
+
+
+@pytest.mark.parametrize("g, theta", [(cycle_graph(n), n * math.cos(math.pi / n)
+                                       / (1 + math.cos(math.pi / n))) for n in (5, 7, 9)]
+                         + [(kneser(5, 2), 4)], ids=["c5", "c7", "c9", "petersen"])
+def test_sdp_runs_where_the_sandwich_stays_open(g, theta):
+    adj = g.adjacency_masks()
+    assert len(_greedy_independent_set(adj)) < len(_greedy_clique_cover(adj))
+    lo, hi = lovasz_theta(g, tol=1e-6)
+    assert (lo, hi) == _sdp_theta(g, 1e-6)
+    assert lo < hi and hi - lo <= 1e-6
+    assert lo - 1e-9 <= theta <= hi + 1e-9
 
 
 def test_complement_and_has_edge_agree_with_edge_list():

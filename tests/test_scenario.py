@@ -1,8 +1,11 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksatlas.errors import (
     DuplicateMeasurement,
@@ -217,6 +220,60 @@ def test_correlator_decomposition_inverts_expansion(hexagon):
     expect = {(i, i + 1): Fraction(1) for i in range(5)}
     expect[(0, 5)] = Fraction(-1)
     assert coeffs == expect
+
+
+def fraction_correlator_decomposition(scenario, inequality):
+    """Reference: every subset share added in Fraction arithmetic."""
+    coeffs, const = {}, Fraction(0)
+    for members, asg, coef in inequality.terms:
+        for m in members:
+            if set(scenario.outcomes[m]) != {1, -1}:
+                raise ScenarioMismatch(f"measurement {m} is not a +-1 observable")
+        w = Fraction(coef, 2 ** len(members))
+        for r in range(len(members) + 1):
+            for subset in itertools.combinations(range(len(members)), r):
+                sign = 1
+                for pos in subset:
+                    sign *= asg[pos]
+                key = tuple(members[pos] for pos in subset)
+                if key == ():
+                    const += w * sign
+                else:
+                    coeffs[key] = coeffs.get(key, Fraction(0)) + w * sign
+    return {k: v for k, v in coeffs.items() if v != 0}, const
+
+
+@st.composite
+def pm1_inequalities(draw):
+    """A scenario on up to 6 measurements, some of them +-1, and terms on
+    sorted subsets of up to 4 of them with small rational coefficients."""
+    n = draw(st.integers(1, 6))
+    outcomes = [draw(st.sampled_from([2, 2, 2, 3])) for _ in range(n)]
+    scenario = build_scenario([f"m{i}" for i in range(n)], outcomes, [])
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        members = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                            max_size=min(4, n)))))
+        asg = tuple(draw(st.sampled_from(scenario.outcomes[m])) for m in members)
+        coef = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+        terms.append((members, asg, coef))
+    return scenario, Inequality(tuple(terms), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pm1_inequalities())
+def test_correlator_decomposition_matches_fraction_reference(case):
+    scenario, ineq = case
+    try:
+        want = fraction_correlator_decomposition(scenario, ineq)
+    except ScenarioMismatch as exc:
+        with pytest.raises(ScenarioMismatch, match=f"^{re.escape(str(exc))}$"):
+            correlator_decomposition(scenario, ineq)
+        return
+    coeffs, const = correlator_decomposition(scenario, ineq)
+    assert list(coeffs.items()) == list(want[0].items())
+    assert all(type(v) is Fraction for v in coeffs.values())
+    assert type(const) is Fraction and const == want[1]
 
 
 def test_scenario_and_inequality_json_round_trip(hexagon):
