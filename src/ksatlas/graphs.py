@@ -450,6 +450,20 @@ def _greedy_clique_cover(adj):
     return [tuple(_bits(m)) for m in cliques]
 
 
+def _sandwich(graph, tol, size_limit):
+    """(k, closed) for alpha <= theta <= clique cover number: k is the size
+    of the greedy independent set, and closed says that the greedy clique
+    cover has size k too, so that alpha = theta = k exactly. Checks the size
+    limit, then tol, as lovasz_theta and contextuality_ratio promise."""
+    if graph.n > size_limit:
+        raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
+    if tol <= 0:
+        raise InvalidTolerance("tol must be positive")
+    adj = graph.adjacency_masks()
+    k = len(_greedy_independent_set(adj))
+    return k, k == len(_greedy_clique_cover(adj))
+
+
 def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     """Certified interval (lower, upper) for the Lovasz number.
 
@@ -481,13 +495,8 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     to its size if that is higher, and if the interval is still wider than
     tol, ConvergenceFailure carries it.
     """
-    if graph.n > size_limit:
-        raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
-    if tol <= 0:
-        raise InvalidTolerance("tol must be positive")
-    adj = graph.adjacency_masks()
-    k = len(_greedy_independent_set(adj))
-    if k == len(_greedy_clique_cover(adj)):
+    k, closed = _sandwich(graph, tol, size_limit)
+    if closed:
         return (float(k), float(k))
     return _sdp_theta(graph, tol)
 
@@ -604,14 +613,18 @@ def _sdp_theta(graph, tol):
 def contextuality_ratio(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     """alpha, certified theta interval and their ratio, bundled.
 
-    An independent set of size alpha gives a feasible primal point, so
-    alpha is itself an exact lower bound on theta and tightens the
-    interval's lower end.
+    When lovasz_theta's sandwich step closes (`_sandwich`), alpha = theta
+    = k and neither the branch and bound nor the SDP runs. Otherwise an
+    independent set of size alpha gives a feasible primal point, so alpha
+    is itself an exact lower bound on theta and tightens the interval's
+    lower end.
     """
+    k, closed = _sandwich(graph, tol, size_limit)
+    if closed:
+        return GraphInvariants(alpha=k, theta_lower=float(k), theta_upper=float(k))
     alpha = independence_number(graph, size_limit=size_limit)
-    lo, hi = lovasz_theta(graph, tol=tol, size_limit=size_limit)
-    lo = max(lo, float(alpha))
-    return GraphInvariants(alpha=alpha, theta_lower=lo, theta_upper=hi)
+    lo, hi = _sdp_theta(graph, tol)
+    return GraphInvariants(alpha=alpha, theta_lower=max(lo, float(alpha)), theta_upper=hi)
 
 
 # -- exclusivity graphs -------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksatlas.errors import ConvergenceFailure, SizeLimitExceeded
+from ksatlas.errors import ConvergenceFailure, InvalidTolerance, SizeLimitExceeded
 from ksatlas.graphs import (
     Graph,
     _greedy_clique_cover,
@@ -273,6 +273,24 @@ def test_theta_interval_is_ordered_and_tol_wide(g, tol):
         lo, hi = theta(g, tol=tol)
         assert lo <= hi
         assert hi - lo <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(max_n=12))
+def test_contextuality_ratio_alpha_is_the_independence_number(g):
+    # where the sandwich step closes, alpha comes from the greedy set alone
+    inv = contextuality_ratio(g, tol=1e-6)
+    assert inv.alpha == independence_number(g)
+    assert inv.alpha <= inv.theta_lower <= inv.theta_upper
+    lo, hi = lovasz_theta(g, tol=1e-6)
+    assert inv.theta_upper == hi and inv.theta_lower == max(lo, inv.alpha)
+
+
+def test_contextuality_ratio_checks_size_before_tol():
+    with pytest.raises(SizeLimitExceeded):
+        contextuality_ratio(cycle_graph(9), tol=0, size_limit=8)
+    with pytest.raises(InvalidTolerance):
+        contextuality_ratio(cycle_graph(9), tol=0)
 
 
 def test_theta_interval_stays_ordered_below_rounding():

@@ -166,3 +166,76 @@ def test_membership_shaped_systems_take_the_reference_path(system):
     res = solve_feasibility(a, b)
     assert (res.feasible, res.x, res.certificate, res.objective,
             res.pivots) == fraction_simplex(a, b)
+
+
+@st.composite
+def wide_systems(draw):
+    """Systems whose int64 block outgrows 2^63 part-way through the solve:
+    coefficients of 2^29-2^40 among small ones, in rows of ints or of
+    Fractions with small denominators. The right-hand side is A x for a
+    small x >= 0 (feasible) or drawn freely."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    big = 2 ** draw(st.integers(30, 40))
+    entry = st.one_of(st.integers(-3, 3), st.builds(lambda s, v: s * v, st.sampled_from([1, -1]),
+                                                    st.integers(big // 2, big)))
+    a = []
+    for _ in range(m):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            den = draw(st.sampled_from([2, 3, 7]))
+            row = [F(v, den) for v in row]
+        a.append(row)
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        b = [sum(v * xi for v, xi in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(st.integers(-big, big), min_size=m, max_size=m))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_systems())
+def test_systems_that_outgrow_int64_take_the_reference_path(system):
+    a, b = system
+    res = solve_feasibility(a, b)
+    assert (res.feasible, res.x, res.certificate, res.objective,
+            res.pivots) == fraction_simplex(a, b)
+
+
+def test_int64_guard_keeps_wide_systems_exact():
+    # feasible with x = (0, 1): after the first pivot, pricing multiplies
+    # det ~ 2^31.9 by coefficients ~ 2^31.9, past 2^63; unchecked, int64
+    # wraps and the solver reports infeasible
+    res = solve_feasibility([[3943913018, 3], [-3, 2602656453]], [3, 2602656453])
+    assert (res.feasible, res.x, res.pivots) == (True, [F(0), F(1)], 2)
+    # feasible with x = (2, 2): here the update inv * piv - column (x)
+    # pivot_row is what leaves int64
+    res = solve_feasibility([[1817072, 1], [0, -3862693]], [3634146, -7725386])
+    assert (res.feasible, res.x, res.pivots) == (True, [F(2), F(2)], 2)
+    # the artificial costs L / s_i pass 2^63 before any pivot
+    a = [[F(1, 2**32 - 5), 1], [1, F(1, 2**31 - 1)], [F(1, 2**33 + 1), F(1, 7)]]
+    res = solve_feasibility(a, [1, 1, 1])
+    assert (res.feasible, res.x, res.certificate, res.objective,
+            res.pivots) == fraction_simplex(a, [1, 1, 1])
+
+
+def test_outputs_are_fractions_of_python_ints():
+    point = [F(v) for v in (0.1, 0.3, 0.7)]
+    cases = [
+        # int64 throughout, feasible and infeasible
+        ([[1, 1], [1, -1]], [1, F(1, 3)]),
+        ([[1, 1], [1, 1]], [1, 2]),
+        # promoted part-way, feasible and infeasible
+        ([[3943913018, 3], [-3, 2602656453]], [3, 2602656453]),
+        ([[3943913018, 3], [-3, 2602656453]], [-3, 2602656453]),
+        # Python ints from the start: a coefficient, then the costs, past int64
+        ([[2**70, 1], [1, 1]], [F(1, 3), 1]),
+        ([[F(1, 2**32 - 5), 1], [1, F(1, 2**31 - 1)], [F(1, 2**33 + 1), F(1, 7)]], [1, 1, 1]),
+        # scaled Fraction rows; a rationalized float right-hand side
+        ([[F(1, 3), 1], [1, F(2, 7)]], [F(1, 2), 1]),
+        _membership_lp(np.array([[0, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=np.uint8), point, 0),
+    ]
+    for a, b in cases:
+        res = solve_feasibility(a, b)
+        for v in [res.objective, *(res.x or []), *(res.certificate or [])]:
+            assert type(v) is F and type(v.numerator) is int and type(v.denominator) is int
