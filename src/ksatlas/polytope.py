@@ -67,7 +67,11 @@ class Layout:
         self.size = len(self.pairs)
 
     def behavior_coords(self, behavior):
-        return [frac(behavior.table(ctx)[asg]) for ctx, asg in self.pairs]
+        coords = []
+        for ctx, grid in zip(self.contexts, self.grids):
+            tab = behavior.table(ctx)
+            coords += [frac(tab[asg]) for asg in grid]
+        return coords
 
     def behavior_from_row(self, row):
         tables = {ctx: {} for ctx in self.contexts}
@@ -312,46 +316,48 @@ def _membership_lp(coords, coords_b, tol):
 
     Columns: N vertex weights, then for tol > 0 per coordinate a +slack,
     a -slack and a cap filler. Rows: D coordinate equations, the weight
-    normalization, and for tol > 0 the slack caps. Coefficients are
-    Python ints; only the right-hand sides are Fractions.
+    normalization, and for tol > 0 the slack caps. The coefficients are
+    one int64 array, built once and returned as the list of its rows,
+    which the solver reads as integer rows; only the right-hand sides
+    are Fractions.
     """
     n, d = coords.shape
-    extra = 0 if tol == 0 else 3 * d
-    rows = [row + [0] * extra for row in coords.T.tolist()]
-    rhs = list(coords_b)
-    rows.append([1] * n + [0] * extra)
-    rhs.append(Fraction(1))
-    if tol != 0:
-        for i in range(d):
-            rows[i][n + 3 * i] = 1
-            rows[i][n + 3 * i + 1] = -1
-            row = [0] * (n + extra)
-            row[n + 3 * i: n + 3 * i + 3] = [1, 1, 1]
-            rows.append(row)
-            rhs.append(tol)
-    return rows, rhs
+    caps = 0 if tol == 0 else d
+    a = np.zeros((d + 1 + caps, n + 3 * caps), dtype=np.int64)
+    a[:d, :n] = coords.T
+    a[d, :n] = 1
+    rhs = [*coords_b, Fraction(1)]
+    if caps:
+        i = np.arange(d)
+        a[i, n + 3 * i] = 1
+        a[i, n + 3 * i + 1] = -1
+        for k in range(3):
+            a[d + 1 + i, n + 3 * i + k] = 1
+        rhs += [tol] * d
+    return list(a), rhs
 
 
 def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     """Exact membership in the convex hull of deterministic behaviors.
 
     Rational behaviors are decided exactly (tol defaults to 0); float
-    behaviors are rationalized entrywise and tested with a slack of tol
-    (default 1e-9) around each coordinate, which makes the verdict
-    approximate in the documented sense. Non-members come with an exact
+    behaviors are validated with tol and then rationalized entrywise and
+    tested with a slack of tol (default 1e-9) around each coordinate,
+    which makes the verdict approximate in the documented sense; tol=0
+    validates and tests them exactly. Non-members come with an exact
     separating inequality respected by every vertex and strictly violated
     by every behavior within tol of the (rationalized) behavior. A
     negative or non-finite tol raises InvalidTolerance.
     """
     if tol is not None and not 0 <= tol < math.inf:
         raise InvalidTolerance("tol must be finite and >= 0")
-    report = validate_behavior(scenario, behavior,
-                               tol=None if behavior.mode == "rational" else (tol or 1e-9))
+    exact = behavior.mode == "rational"
+    if tol is None:
+        tol = 0 if exact else 1e-9
+    report = validate_behavior(scenario, behavior, tol=None if exact else tol)
     if not report.ok:
         raise NoDisturbanceViolated(
             "behavior fails normalization/no-disturbance; not a polytope question")
-    if tol is None:
-        tol = 0 if behavior.mode == "rational" else 1e-9
     tol = frac(tol)
 
     desc = enumerate_vertices(scenario, budget=budget)

@@ -8,14 +8,17 @@ cycle, and every step is exact integer arithmetic (Edmonds, J. Res. NBS
 - each row (negated where b_i < 0) is scaled by the lcm s_i of its
   coefficients' denominators; its artificial column stays the unit
   vector, so the artificial of row i stands for s_i times the original.
-  A row of Python ints has s_i = 1 and skips the lcm: every row of the
-  membership LP is one;
+  A row that numpy holds as integers (an integer array, or a list of
+  Python ints within int64) has s_i = 1: it is copied into the integer
+  matrix A' as it is, with no lcm and no Fraction. Every row of the
+  membership LP is one, a row of one int64 array;
 - artificial i costs L / s_i, with L the lcm of all s_i, which is the
   original phase-1 objective times L;
 - the right-hand side is scaled by one common R, the lcm of the scaled
   b_i's denominators, which multiplies every variable by R. Only that
   column carries R, so a rational b with large denominators (rationalized
-  floats) leaves the coefficient columns small;
+  floats) leaves the coefficient columns small. R s_i b_i is formed in
+  integers from b_i's numerator and denominator;
 - the full tableau would hold d * B^-1 [A' | I | R b] with d = det B > 0,
   A' the scaled rows, and the reduced-cost row kept the same way below
   it. A pivot on p = T[r, e] replaces every other row by
@@ -99,16 +102,57 @@ class FeasibilityResult:
     pivots: int               # simplex pivots taken
 
 
-def _integer_row(row, rhs):
-    """(scale, sign, integer coefficients, Fraction rhs >= 0) of one row:
-    the row times the lcm of its coefficients' denominators and times the
-    sign that makes the rhs nonnegative."""
-    sign = -1 if rhs < 0 else 1
-    if set(map(type, row)) <= {int}:
-        return 1, sign, list(row) if sign > 0 else [-v for v in row], Fraction(rhs) * sign
-    vals = [v if isinstance(v, int) else Fraction(v) for v in row]
-    scale = math.lcm(*(v.denominator for v in vals))
-    return scale, sign, [int(v * scale) * sign for v in vals], Fraction(rhs) * scale * sign
+def _ratio(v):
+    """(numerator, denominator) of an int, Fraction or float, as Python ints."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return int(v.numerator), int(v.denominator)
+
+
+def _scaled_system(a_rows, b):
+    """(A', scales s_i, signs, R, R b' as Python ints) of the system: row i
+    of A' is row i of A times s_i and times the sign that makes b_i >= 0,
+    b' the right-hand side scaled the same way, and R the lcm of the
+    denominators of b'.
+
+    A row that numpy holds as integers (an integer array, or a list of
+    Python ints that fits int64) is copied into A' as it is, with s_i = 1;
+    any other row is read as Fractions and s_i is the lcm of their
+    denominators. A' is int64, or object (Python ints) when an entry does
+    not fit. R b'_i is formed from the numerator and denominator of b_i.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    a = np.empty((m, n), dtype=np.int64)
+    scales = [1] * m
+    fractional = {}
+    for i, row in enumerate(a_rows):
+        arr = row if isinstance(row, np.ndarray) else np.asarray(row)
+        if np.can_cast(arr.dtype, np.int64):
+            a[i] = arr
+            continue
+        vals = [_ratio(v) for v in row]
+        scales[i] = scale = math.lcm(*(q for _, q in vals))
+        fractional[i] = [p * (scale // q) for p, q in vals]
+    if fractional and not all(-_INT64 <= v < _INT64 for r in fractional.values() for v in r):
+        a = a.astype(object)
+    for i, r in fractional.items():
+        a[i] = r
+
+    rhs = [_ratio(v) for v in b]
+    signs = [-1 if p < 0 else 1 for p, _ in rhs]
+    flip = [i for i, sign in enumerate(signs) if sign < 0]
+    if a.dtype != object and flip and int(a[flip].min(initial=0)) == -_INT64:
+        a = a.astype(object)  # -(-2^63) is not an int64
+    a[flip] *= -1
+    # s_i b_i = (s_i / g) p / (q / g) in lowest terms, g = gcd(s_i, q)
+    nums, dens = [], []
+    for (p, q), s, sign in zip(rhs, scales, signs):
+        g = math.gcd(s, q)
+        nums.append(sign * (s // g) * p)
+        dens.append(q // g)
+    rhs_scale = math.lcm(*dens)
+    return a, scales, signs, rhs_scale, [p * (rhs_scale // q) for p, q in zip(nums, dens)]
 
 
 def _abs_max(a):
@@ -119,16 +163,19 @@ def _abs_max(a):
 def solve_feasibility(a_rows, b):
     """Decide {x >= 0 : A x = b} with exact arithmetic.
 
-    a_rows: list of rows, each a sequence of ints or Fractions.
-    b: list of ints or Fractions.
+    a_rows: list of rows, each an integer numpy array or a sequence of
+    ints, Fractions or floats (read as the rationals they hold).
+    b: list of ints, Fractions or floats.
 
     Only the block [d B^-1 | d B^-1 R b] and its cost row are pivoted;
     each step prices the structural columns from their nonzeros, in
     runs from column 0 until the first improving one (see the module
     docstring). The reduced costs and entering columns are the full
     Bland tableau's, so the pivots, x, the certificate and the objective
-    are too. Rows of Python ints are used unscaled; rows with Fractions
-    are scaled by the lcm of their denominators.
+    are too. Rows that numpy holds as integers go into the integer
+    matrix A' unscaled; only rows with Fractions (or floats) are scaled
+    by the lcm of their denominators. R b is formed from the numerators
+    and denominators of b, with no Fraction arithmetic.
 
     d B^-1, its cost row, the column nonzeros and the artificial costs
     are int64 while a bound checked before each pricing and each update
@@ -138,22 +185,15 @@ def solve_feasibility(a_rows, b):
     pivot. Every entry of x, the certificate and the objective is a
     Fraction of Python ints.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    scaled = [_integer_row(row, rhs) for row, rhs in zip(a_rows, b)]
-    scales = [s for s, _, _, _ in scaled]
+    a, scales, signs, rhs_scale, rhs = _scaled_system(a_rows, b)
+    m, n = a.shape
     lcm = math.lcm(*scales)
-    rhs_scale = math.lcm(*(rhs.denominator for _, _, _, rhs in scaled))
     costs = [lcm // s for s in scales]
 
     # the columns of A' as nonzeros: rows[starts[k]:ends[k]] and
     # vals[...] for structural column live[k]; all-zero columns never
     # enter, so they are not stored
-    ints = [row for _, _, row, _ in scaled]
-    try:
-        a_t = np.array(ints, dtype=np.int64).reshape(m, n).T
-    except OverflowError:
-        a_t = np.array(ints, dtype=object).reshape(m, n).T
+    a_t = a.T
     col_of, rows = np.nonzero(a_t != 0)
     vals = a_t[col_of, rows]
     counts = np.bincount(col_of, minlength=n)
@@ -174,7 +214,6 @@ def solve_feasibility(a_rows, b):
     # row's entry, as Python ints.
     inv = np.eye(m + 1, m, dtype=vals.dtype)
     cost = np.array(costs, dtype=vals.dtype)
-    rhs = [int(r * rhs_scale) for _, _, _, r in scaled]
     rhs.append(sum(c * r for c, r in zip(costs, rhs)))
     inv_max = 1
     basis = list(range(n, n + m))
@@ -258,5 +297,5 @@ def solve_feasibility(a_rows, b):
     # cost row of inv; undoing the row scale and the factor L gives the
     # original multiplier, and rows that were sign-flipped flip it back.
     y = [sign * Fraction(t * s + det * lcm, det * lcm)
-         for t, (s, sign, _, _) in zip(inv[m].tolist(), scaled)]
+         for t, s, sign in zip(inv[m].tolist(), scales, signs)]
     return FeasibilityResult(False, None, y, objective, pivots)

@@ -10,11 +10,11 @@ expanded into event terms so a single evaluation path serves both forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     DuplicateMeasurement,
@@ -34,6 +34,7 @@ __all__ = [
     "ValidationReport",
     "build_scenario",
     "validate_behavior",
+    "integer_tables",
     "evaluate",
     "frac",
     "frac_str",
@@ -65,7 +66,7 @@ class Scenario:
     outcomes: tuple              # per measurement, tuple of outcome labels
     compat: Graph                # edge = compatible pair of measurement indices
 
-    @cached_property
+    @functools.cached_property
     def contexts(self):
         """Maximal cliques of `compat`: sorted index tuples, lexicographic."""
         return tuple(maximal_cliques(self.compat))
@@ -363,26 +364,123 @@ class ValidationReport:
         }
 
 
+def integer_tables(scenario, behavior):
+    """(den, nums): the behavior's table on each maximal context as
+    integer numerators over one common denominator den > 0, the lcm of
+    the entries' denominators. nums[k][j] / den is entry j, in outcome-grid
+    order, of context k, in `scenario.contexts` order (the polytope's
+    Layout order). Float entries are read as the exact rationals they
+    hold, as membership_test reads them.
+
+    Contexts are read in order and each table in grid order. The first
+    missing table or entry raises MissingContextTable, and a negative
+    entry NegativeProbability, where it is met.
+    """
+    ratios = []
+    for ctx in scenario.contexts:
+        tab = behavior.table(ctx)  # raises MissingContextTable
+        row = []
+        for asg in outcome_grid(scenario, ctx):
+            if asg not in tab:
+                raise MissingContextTable(f"context {ctx} lacks entry for {asg}")
+            v = tab[asg]
+            q = frac(v)
+            num = int(q.numerator)
+            if num < 0:
+                raise NegativeProbability(f"P{asg}|{ctx} = {v}")
+            row.append((num, int(q.denominator)))
+        ratios.append(row)
+    den = math.lcm(*{q for row in ratios for _, q in row})
+    return den, [[p * (den // q) for p, q in row] for row in ratios]
+
+
+@functools.lru_cache(maxsize=256)
+def _marginal_index(radices, keep):
+    """(size, target): entry j of a row-major table over `radices` adds
+    into entry target[j] of its row-major marginal on the axes `keep`
+    (ascending), which has `size` entries."""
+    stride, size = {}, 1
+    for k in reversed(keep):
+        stride[k] = size
+        size *= radices[k]
+    target = [0]
+    for k, r in enumerate(radices):
+        step = stride.get(k, 0)
+        target = [t + o * step for t in target for o in range(r)]
+    return size, tuple(target)
+
+
+def _marginal(nums, radices, keep):
+    """The marginal of a row-major table on the axes `keep`."""
+    size, target = _marginal_index(radices, keep)
+    out = [0] * size
+    for t, v in zip(target, nums):
+        out[t] += v
+    return out
+
+
+def _overlaps(contexts):
+    """(a, b, shared) for every pair a < b of contexts that share a
+    measurement, shared being the sorted common members."""
+    for a in range(len(contexts)):
+        for b in range(a + 1, len(contexts)):
+            shared = tuple(sorted(set(contexts[a]) & set(contexts[b])))
+            if shared:
+                yield a, b, shared
+
+
 def validate_behavior(scenario, behavior, tol=None):
     """Normalization and no-disturbance checks.
 
-    Rational mode compares exactly (tol, default 0, as a Fraction); float
-    mode uses the given tolerance (default 1e-9). A negative or non-finite
-    tol raises InvalidTolerance. Missing tables and negative entries
-    raise; normalization and marginal mismatches are reported.
+    Rational mode compares exactly (tol, default 0, as a Fraction) on the
+    integer form of the tables (integer_tables): sums and marginals are
+    integer numerators over the common denominator, and a Fraction is
+    built only for each deviation reported. Float mode compares the float
+    entries with the given tolerance (default 1e-9). A negative or
+    non-finite tol raises InvalidTolerance. Missing tables and negative
+    entries raise; normalization and marginal mismatches are reported.
     """
     if tol is not None and not 0 <= tol < math.inf:
         raise InvalidTolerance("tol must be finite and >= 0")
     if behavior.scenario != scenario:
         raise ScenarioMismatch("behavior belongs to a different scenario")
-    exact = behavior.mode == "rational"
-    if tol is None:
-        tol = 0 if exact else 1e-9
-    if exact:
-        tol = frac(tol)
+    check = _exact_issues if behavior.mode == "rational" else _float_issues
+    norm_issues, nd_issues = check(scenario, behavior, tol)
+    ok = not (norm_issues or nd_issues)
+    return ValidationReport(ok, tuple(norm_issues), (), tuple(nd_issues))
 
+
+def _exact_issues(scenario, behavior, tol):
+    """validate_behavior's normalization and no-disturbance issues of a
+    rational behavior: a deviation dev / den exceeds tol = t / u exactly
+    when dev * u > t * den."""
+    tol = frac(0 if tol is None else tol)
+    den, nums = integer_tables(scenario, behavior)
+    limit = tol.numerator * den
     ctxs = scenario.contexts
-    norm_issues, neg_issues, nd_issues = [], [], []
+    norm_issues = []
+    for ctx, row in zip(ctxs, nums):
+        dev = abs(sum(row) - den)
+        if dev * tol.denominator > limit:
+            norm_issues.append((ctx, Fraction(dev, den)))
+    shapes = [tuple(len(scenario.outcomes[m]) for m in ctx) for ctx in ctxs]
+    nd_issues = []
+    for a, b, shared in _overlaps(ctxs):
+        ta = _marginal(nums[a], shapes[a], tuple(map(ctxs[a].index, shared)))
+        tb = _marginal(nums[b], shapes[b], tuple(map(ctxs[b].index, shared)))
+        worst = max(abs(x - y) for x, y in zip(ta, tb))
+        if worst * tol.denominator > limit:
+            nd_issues.append((ctxs[a], ctxs[b], shared, Fraction(worst, den)))
+    return norm_issues, nd_issues
+
+
+def _float_issues(scenario, behavior, tol):
+    """validate_behavior's normalization and no-disturbance issues of a
+    float behavior, entries compared with tol (default 1e-9)."""
+    if tol is None:
+        tol = 1e-9
+    ctxs = scenario.contexts
+    norm_issues = []
     for ctx in ctxs:
         tab = behavior.table(ctx)  # raises MissingContextTable
         grid = outcome_grid(scenario, ctx)
@@ -391,30 +489,23 @@ def validate_behavior(scenario, behavior, tol=None):
                 raise MissingContextTable(
                     f"context {ctx} lacks entry for {asg}")
             v = tab[asg]
-            if (exact and v < 0) or (not exact and v < -float(tol)):
+            if v < -float(tol):
                 raise NegativeProbability(f"P{asg}|{ctx} = {v}")
-        total = sum(tab[a] for a in grid)
-        dev = abs(total - 1)
+        dev = abs(sum(tab[a] for a in grid) - 1)
         if dev > tol:
             norm_issues.append((ctx, dev))
-
-    for a in range(len(ctxs)):
-        for b in range(a + 1, len(ctxs)):
-            shared = tuple(sorted(set(ctxs[a]) & set(ctxs[b])))
-            if not shared:
-                continue
-            worst = 0 if exact else 0.0
-            ta = behavior.marginal_table(ctxs[a], shared)
-            tb = behavior.marginal_table(ctxs[b], shared)
-            for asg in outcome_grid(scenario, shared):
-                dev = abs(ta[asg] - tb[asg])  # complete: every table was checked above
-                if dev > worst:
-                    worst = dev
-            if worst > tol:
-                nd_issues.append((ctxs[a], ctxs[b], shared, worst))
-
-    ok = not (norm_issues or neg_issues or nd_issues)
-    return ValidationReport(ok, tuple(norm_issues), tuple(neg_issues), tuple(nd_issues))
+    nd_issues = []
+    for a, b, shared in _overlaps(ctxs):
+        worst = 0.0
+        ta = behavior.marginal_table(ctxs[a], shared)
+        tb = behavior.marginal_table(ctxs[b], shared)
+        for asg in outcome_grid(scenario, shared):
+            dev = abs(ta[asg] - tb[asg])  # complete: every table was checked above
+            if dev > worst:
+                worst = dev
+        if worst > tol:
+            nd_issues.append((ctxs[a], ctxs[b], shared, worst))
+    return norm_issues, nd_issues
 
 
 def evaluate(inequality, behavior):

@@ -1,10 +1,19 @@
+import itertools
+import numbers
 from fractions import Fraction
 
 import pytest
 
 from ksatlas.bridge import chsh_example, n_cycle, pearle_hexagon, pm_square
+from ksatlas.errors import MissingContextTable, NegativeProbability
+from ksatlas.scenario import outcome_grid
 
 F = Fraction
+
+
+def _exact(v):
+    """v as a Fraction of Python ints; numpy integers become ints first."""
+    return F(int(v)) if isinstance(v, numbers.Integral) else F(v)
 
 
 def fraction_simplex(a_rows, b):
@@ -15,8 +24,8 @@ def fraction_simplex(a_rows, b):
     tab = []
     for i, (row, rhs) in enumerate(zip(a_rows, b)):
         sign = -1 if rhs < 0 else 1
-        tab.append([sign * F(v) for v in row] + [F(int(j == i)) for j in range(m)]
-                   + [sign * F(rhs)])
+        tab.append([sign * _exact(v) for v in row] + [F(int(j == i)) for j in range(m)]
+                   + [sign * _exact(rhs)])
     width = n + m
     basis = list(range(n, width))
     red = [sum(r[j] for r in tab) - (j >= n and j < width) for j in range(width + 1)]
@@ -42,6 +51,36 @@ def fraction_simplex(a_rows, b):
         return True, x, None, F(0), pivots
     y = [(red[n + i] + 1) * (-1 if b[i] < 0 else 1) for i in range(m)]
     return False, None, y, objective, pivots
+
+
+def fraction_validation(scenario, behavior, tol=0):
+    """Reference: validate_behavior on a rational behavior in Fraction
+    arithmetic, entry by entry. Returns (ok, normalization, no_disturbance)
+    as the report holds them, or raises what validate_behavior raises."""
+    tol = F(tol)
+    ctxs = scenario.contexts
+    norm = []
+    for ctx in ctxs:
+        tab = behavior.table(ctx)
+        grid = outcome_grid(scenario, ctx)
+        for asg in grid:
+            if asg not in tab:
+                raise MissingContextTable(f"context {ctx} lacks entry for {asg}")
+            if tab[asg] < 0:
+                raise NegativeProbability(f"P{asg}|{ctx} = {tab[asg]}")
+        dev = abs(sum(tab[asg] for asg in grid) - 1)
+        if dev > tol:
+            norm.append((ctx, dev))
+    disturbance = []
+    for a, b in itertools.combinations(ctxs, 2):
+        shared = tuple(sorted(set(a) & set(b)))
+        if not shared:
+            continue
+        ta, tb = behavior.marginal_table(a, shared), behavior.marginal_table(b, shared)
+        worst = max(abs(ta[asg] - tb[asg]) for asg in outcome_grid(scenario, shared))
+        if worst > tol:
+            disturbance.append((a, b, shared, worst))
+    return not (norm or disturbance), tuple(norm), tuple(disturbance)
 
 
 @pytest.fixture(scope="session")

@@ -496,6 +496,23 @@ def test_float_mode_membership_is_tolerant(chsh):
     assert membership_test(noisy_chsh_mixture(scenario), scenario, tol=1e-9).member
 
 
+def test_float_tol_zero_validates_exactly(chsh):
+    # CHSH uniform with P(1,1|A1,B1) and P(1,-1|A1,B1) moved by +-1e-12:
+    # B1's marginal disagrees by 1e-12, so a tolerance below that, 0
+    # included, refuses the behavior before the LP; the default 1e-9
+    # accepts it and the slack system calls it a member
+    scenario, _ = chsh
+    beh = uniform_behavior(scenario, "float")
+    tab = beh.tables[(0, 2)]
+    tab[(1, 1)] += 1e-12
+    tab[(1, -1)] -= 1e-12
+    for tol in (0, 0.0, 1e-15):
+        with pytest.raises(NoDisturbanceViolated):
+            membership_test(beh, scenario, tol=tol)
+    assert membership_test(beh, scenario).member
+    assert membership_test(beh, scenario, tol=1e-9).member
+
+
 def test_float_mode_non_member_gets_a_strict_witness(chsh):
     # 0.9 PR box + 0.1 uniform noise: CHSH value 3.6 > 2, entries that
     # floats cannot hold exactly, so the slack system (tol 1e-9) decides

@@ -239,3 +239,39 @@ def test_outputs_are_fractions_of_python_ints():
         res = solve_feasibility(a, b)
         for v in [res.objective, *(res.x or []), *(res.certificate or [])]:
             assert type(v) is F and type(v.numerator) is int and type(v.denominator) is int
+
+
+# a coefficient near 2^62 fits int64 but makes the first pricing bound
+# fail, so the solve must promote to Python ints; -2^63 has no int64
+# negation, which a row with a negative rhs needs
+NEAR_INT64 = [2**62 - 1, -(2**62) + 3, 3 * 2**61, -(2**63)]
+
+
+@st.composite
+def integer_systems(draw):
+    """Integer systems with negative right-hand sides, right-hand sides
+    that are rationalized floats over 2^80, and coefficients near 2^62."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, entry, st.sampled_from(NEAR_INT64))
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = st.one_of(st.integers(-6, 6),
+                    st.builds(lambda k: F(float(F(k, 2**80))), st.integers(-2**52, 2**52)))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        b = [sum(v * xi for v, xi in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(rhs, min_size=m, max_size=m))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_int64_rows_python_rows_and_the_reference_agree(system):
+    a, b = system
+    as_lists = solve_feasibility(a, b)
+    as_arrays = solve_feasibility([np.array(row, dtype=np.int64) for row in a], b)
+    assert as_arrays == as_lists
+    assert (as_lists.feasible, as_lists.x, as_lists.certificate, as_lists.objective,
+            as_lists.pivots) == fraction_simplex(a, b)

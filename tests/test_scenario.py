@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_validation
 from ksatlas.errors import (
     DuplicateMeasurement,
     InvalidEdge,
@@ -23,10 +24,12 @@ from ksatlas.scenario import (
     correlator_inequality,
     deterministic_behavior,
     evaluate,
+    integer_tables,
     mix_behaviors,
     uniform_behavior,
     validate_behavior,
 )
+from ksatlas.polytope import Layout
 
 
 def brute_force_maximal_cliques(n, edges):
@@ -293,3 +296,107 @@ def test_behavior_json_round_trip(hexagon):
     det = deterministic_behavior(scenario, {m: -1 for m in range(6)}, mode="float")
     d2 = Behavior.from_json(scenario, det.to_json())
     assert d2.tables == det.tables
+
+
+# denominators of several sizes: small, decimal, near 2^40 and 2^61
+# (primes), and powers of two up to 2^80 (rationalized floats)
+BIG_DENOMINATORS = [1, 2, 3, 7, 10**6, 2**40 - 87, 2**61 - 1, 2**53, 2**80]
+
+
+@st.composite
+def rational_behaviors(draw):
+    """A random scenario (2-4 measurements, 2-3 outcomes each) with a
+    mixture of deterministic behaviors, weights over mixed large
+    denominators, then up to three edits: an entry pair shifted by
+    +-delta (no-disturbance breaks), delta added to an entry
+    (normalization breaks), an entry made negative, an entry or a table
+    deleted."""
+    n = draw(st.integers(2, 4))
+    radices = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    s = build_scenario([f"m{i}" for i in range(n)], radices, edges)
+    k = draw(st.integers(1, 4))
+    weights = [Fraction(draw(st.integers(0, 10**6)), 10**6 * k * draw(st.sampled_from(BIG_DENOMINATORS)))
+               for _ in range(k - 1)]
+    weights.append(1 - sum(weights))
+    dets = [deterministic_behavior(s, {m: draw(st.sampled_from(s.outcomes[m])) for m in range(n)})
+            for _ in range(k)]
+    tables = {ctx: dict(tab) for ctx, tab in mix_behaviors(dets, weights).tables.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        ctx = draw(st.sampled_from(s.contexts))
+        if not tables.get(ctx):
+            continue
+        tab = tables[ctx]
+        keys = list(tab)
+        edit = draw(st.sampled_from(["shift"] * 3 + ["add"] * 2 + ["negative", "drop", "drop-table"]))
+        i, j = draw(st.integers(0, len(keys) - 1)), draw(st.integers(0, len(keys) - 1))
+        delta = Fraction(draw(st.integers(1, 1000)), draw(st.sampled_from(BIG_DENOMINATORS)))
+        if edit == "shift" and keys[i] in tab and tab.get(keys[j], 0) > 0:
+            # moves a share of entry j (all of it at most) to entry i
+            delta = tab[keys[j]] * min(delta, 1)
+            tab[keys[i]] += delta
+            tab[keys[j]] -= delta
+        elif edit == "add" and keys[i] in tab:
+            tab[keys[i]] += delta
+        elif edit == "negative" and keys[i] in tab:
+            tab[keys[i]] = -delta
+        elif edit == "drop":
+            tab.pop(keys[i], None)
+        elif edit == "drop-table":
+            del tables[ctx]
+    tol = draw(st.sampled_from([None, 0, Fraction(1, 2**70), Fraction(1, 1000), 1e-9]))
+    return s, Behavior(s, "rational", tables), tol
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (MissingContextTable, NegativeProbability) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_behaviors())
+def test_integer_validation_matches_the_fraction_reference(case):
+    s, beh, tol = case
+
+    def integer():
+        rep = validate_behavior(s, beh, tol=tol)
+        deviations = [d for *_, d in rep.normalization + rep.no_disturbance]
+        assert all(type(d) is Fraction for d in deviations)
+        return rep.ok, rep.normalization, rep.no_disturbance
+
+    assert _outcome(integer) == _outcome(
+        lambda: fraction_validation(s, beh, 0 if tol is None else tol))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_behaviors(), st.booleans())
+def test_integer_tables_are_the_layout_coordinates(case, as_float):
+    # the integer form reads the entries membership_test reads, in Layout
+    # order: Fractions as they are, floats as the rationals they hold
+    s, beh, _ = case
+    if as_float:
+        beh = Behavior(s, "float", {ctx: {asg: float(v) for asg, v in tab.items()}
+                                    for ctx, tab in beh.tables.items()})
+    try:
+        den, nums = integer_tables(s, beh)
+    except (MissingContextTable, NegativeProbability):
+        return  # the validation test checks these against the reference
+    coords = Layout(s).behavior_coords(beh)
+    assert [Fraction(v, den) for row in nums for v in row] == coords
+
+
+def test_deviation_at_tol_is_not_reported(chsh):
+    # CHSH uniform with 1/40 moved from P(1,-1|A1,B1) to P(1,1|A1,B1):
+    # B1's marginal is off by exactly 1/40 between (A1,B1) and (A2,B1)
+    s, _ = chsh
+    tables = {ctx: dict(tab) for ctx, tab in uniform_behavior(s).tables.items()}
+    tables[(0, 2)][(1, 1)] += Fraction(1, 40)
+    tables[(0, 2)][(1, -1)] -= Fraction(1, 40)
+    beh = Behavior(s, "rational", tables)
+    assert validate_behavior(s, beh, tol=Fraction(1, 40)).ok
+    rep = validate_behavior(s, beh, tol=Fraction(1, 41))
+    assert rep.normalization == ()
+    assert rep.no_disturbance == (((0, 2), (1, 2), (2,), Fraction(1, 40)),)
+    assert rep.to_json(s)["no_disturbance"][0]["deviation"] == "1/40"
