@@ -27,6 +27,8 @@ from .scenario import (
     Behavior,
     Inequality,
     check_inequality,
+    _exact_issues,
+    _integer_tables,
     frac,
     frac_str,
     outcome_grid,
@@ -65,13 +67,6 @@ class Layout:
             for asg in grid
         ]
         self.size = len(self.pairs)
-
-    def behavior_coords(self, behavior):
-        coords = []
-        for ctx, grid in zip(self.contexts, self.grids):
-            tab = behavior.table(ctx)
-            coords += [frac(tab[asg]) for asg in grid]
-        return coords
 
     def behavior_from_row(self, row):
         tables = {ctx: {} for ctx in self.contexts}
@@ -343,8 +338,11 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     Rational behaviors are decided exactly (tol defaults to 0); float
     behaviors are validated with tol and then rationalized entrywise and
     tested with a slack of tol (default 1e-9) around each coordinate,
-    which makes the verdict approximate in the documented sense; tol=0
-    validates and tests them exactly. Non-members come with an exact
+    which makes the verdict approximate in the documented sense. At tol=0
+    a float behavior is also validated exactly, on the rationals its
+    entries hold, which are what the LP reads. Both the validation and
+    the right-hand side read the behavior's integer form
+    (scenario._integer_tables). Non-members come with an exact
     separating inequality respected by every vertex and strictly violated
     by every behavior within tol of the (rationalized) behavior. A
     negative or non-finite tol raises InvalidTolerance.
@@ -354,15 +352,21 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     exact = behavior.mode == "rational"
     if tol is None:
         tol = 0 if exact else 1e-9
-    report = validate_behavior(scenario, behavior, tol=None if exact else tol)
-    if not report.ok:
+    valid = validate_behavior(scenario, behavior, tol=None if exact else tol).ok
+    if valid:
+        # complete tables, entries below 0 only within a float tol; at
+        # tol=0 a float behavior must also pass on the rationals the LP reads
+        tables = _integer_tables(scenario, behavior, nonnegative=False)
+        valid = exact or tol != 0 or not any(_exact_issues(scenario, tables, 0))
+    if not valid:
         raise NoDisturbanceViolated(
             "behavior fails normalization/no-disturbance; not a polytope question")
     tol = frac(tol)
 
     desc = enumerate_vertices(scenario, budget=budget)
     layout = desc.layout
-    b = layout.behavior_coords(behavior)
+    den, nums = tables
+    b = [Fraction(v, den) for row in nums for v in row]
 
     rows, rhs = _membership_lp(desc.coords, b, tol)
     res = solve_feasibility(rows, rhs)

@@ -10,11 +10,11 @@ expanded into event terms so a single evaluation path serves both forms.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .errors import (
     DuplicateMeasurement,
@@ -34,7 +34,6 @@ __all__ = [
     "ValidationReport",
     "build_scenario",
     "validate_behavior",
-    "integer_tables",
     "evaluate",
     "frac",
     "frac_str",
@@ -66,7 +65,7 @@ class Scenario:
     outcomes: tuple              # per measurement, tuple of outcome labels
     compat: Graph                # edge = compatible pair of measurement indices
 
-    @functools.cached_property
+    @cached_property
     def contexts(self):
         """Maximal cliques of `compat`: sorted index tuples, lexicographic."""
         return tuple(maximal_cliques(self.compat))
@@ -364,17 +363,18 @@ class ValidationReport:
         }
 
 
-def integer_tables(scenario, behavior):
+def _integer_tables(scenario, behavior, nonnegative=True):
     """(den, nums): the behavior's table on each maximal context as
     integer numerators over one common denominator den > 0, the lcm of
     the entries' denominators. nums[k][j] / den is entry j, in outcome-grid
     order, of context k, in `scenario.contexts` order (the polytope's
     Layout order). Float entries are read as the exact rationals they
-    hold, as membership_test reads them.
+    hold. This one form feeds the exact validation and membership_test's
+    right-hand side.
 
     Contexts are read in order and each table in grid order. The first
-    missing table or entry raises MissingContextTable, and a negative
-    entry NegativeProbability, where it is met.
+    missing table or entry raises MissingContextTable, and with
+    `nonnegative` a negative entry NegativeProbability, where it is met.
     """
     ratios = []
     for ctx in scenario.contexts:
@@ -386,7 +386,7 @@ def integer_tables(scenario, behavior):
             v = tab[asg]
             q = frac(v)
             num = int(q.numerator)
-            if num < 0:
+            if num < 0 and nonnegative:
                 raise NegativeProbability(f"P{asg}|{ctx} = {v}")
             row.append((num, int(q.denominator)))
         ratios.append(row)
@@ -394,7 +394,7 @@ def integer_tables(scenario, behavior):
     return den, [[p * (den // q) for p, q in row] for row in ratios]
 
 
-@functools.lru_cache(maxsize=256)
+@lru_cache(maxsize=256)
 def _marginal_index(radices, keep):
     """(size, target): entry j of a row-major table over `radices` adds
     into entry target[j] of its row-major marginal on the axes `keep`
@@ -433,29 +433,33 @@ def validate_behavior(scenario, behavior, tol=None):
     """Normalization and no-disturbance checks.
 
     Rational mode compares exactly (tol, default 0, as a Fraction) on the
-    integer form of the tables (integer_tables): sums and marginals are
+    integer form of the tables (_integer_tables): sums and marginals are
     integer numerators over the common denominator, and a Fraction is
     built only for each deviation reported. Float mode compares the float
-    entries with the given tolerance (default 1e-9). A negative or
-    non-finite tol raises InvalidTolerance. Missing tables and negative
-    entries raise; normalization and marginal mismatches are reported.
+    entries in float arithmetic with the given tolerance (default 1e-9),
+    at tol=0 too. A negative or non-finite tol raises InvalidTolerance.
+    Missing tables and negative entries raise; normalization and
+    marginal mismatches are reported.
     """
     if tol is not None and not 0 <= tol < math.inf:
         raise InvalidTolerance("tol must be finite and >= 0")
     if behavior.scenario != scenario:
         raise ScenarioMismatch("behavior belongs to a different scenario")
-    check = _exact_issues if behavior.mode == "rational" else _float_issues
-    norm_issues, nd_issues = check(scenario, behavior, tol)
+    if behavior.mode == "rational":
+        norm_issues, nd_issues = _exact_issues(
+            scenario, _integer_tables(scenario, behavior), tol)
+    else:
+        norm_issues, nd_issues = _float_issues(scenario, behavior, tol)
     ok = not (norm_issues or nd_issues)
     return ValidationReport(ok, tuple(norm_issues), (), tuple(nd_issues))
 
 
-def _exact_issues(scenario, behavior, tol):
-    """validate_behavior's normalization and no-disturbance issues of a
-    rational behavior: a deviation dev / den exceeds tol = t / u exactly
-    when dev * u > t * den."""
+def _exact_issues(scenario, tables, tol):
+    """validate_behavior's normalization and no-disturbance issues of the
+    integer form `tables` = (den, nums) of a behavior: a deviation
+    dev / den exceeds tol = t / u exactly when dev * u > t * den."""
     tol = frac(0 if tol is None else tol)
-    den, nums = integer_tables(scenario, behavior)
+    den, nums = tables
     limit = tol.numerator * den
     ctxs = scenario.contexts
     norm_issues = []

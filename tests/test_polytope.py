@@ -513,6 +513,21 @@ def test_float_tol_zero_validates_exactly(chsh):
     assert membership_test(beh, scenario, tol=1e-9).member
 
 
+def test_float_tol_zero_validates_the_rationals_the_lp_reads(chsh):
+    # every table (0.1, 0.2, 0.3, 0.4): the float sum rounds to 1.0, but
+    # the rationals these floats hold sum to 1 + 2^-55, so at tol=0 the
+    # behavior is refused before the LP instead of getting a witness
+    scenario, _ = chsh
+    values = (0.1, 0.2, 0.3, 0.4)
+    assert sum(values) == 1.0 and sum(map(F, values)) == 1 + F(1, 2**55)
+    tables = {ctx: dict(zip(outcome_grid(scenario, ctx), values)) for ctx in scenario.contexts}
+    beh = Behavior(scenario, "float", tables)
+    for tol in (0, 0.0, F(0)):
+        with pytest.raises(NoDisturbanceViolated):
+            membership_test(beh, scenario, tol=tol)
+    assert membership_test(beh, scenario).member
+
+
 def test_float_mode_non_member_gets_a_strict_witness(chsh):
     # 0.9 PR box + 0.1 uniform noise: CHSH value 3.6 > 2, entries that
     # floats cannot hold exactly, so the slack system (tol 1e-9) decides

@@ -24,12 +24,10 @@ from ksatlas.scenario import (
     correlator_inequality,
     deterministic_behavior,
     evaluate,
-    integer_tables,
     mix_behaviors,
     uniform_behavior,
     validate_behavior,
 )
-from ksatlas.polytope import Layout
 
 
 def brute_force_maximal_cliques(n, edges):
@@ -368,23 +366,6 @@ def test_integer_validation_matches_the_fraction_reference(case):
 
     assert _outcome(integer) == _outcome(
         lambda: fraction_validation(s, beh, 0 if tol is None else tol))
-
-
-@settings(max_examples=100, deadline=None)
-@given(rational_behaviors(), st.booleans())
-def test_integer_tables_are_the_layout_coordinates(case, as_float):
-    # the integer form reads the entries membership_test reads, in Layout
-    # order: Fractions as they are, floats as the rationals they hold
-    s, beh, _ = case
-    if as_float:
-        beh = Behavior(s, "float", {ctx: {asg: float(v) for asg, v in tab.items()}
-                                    for ctx, tab in beh.tables.items()})
-    try:
-        den, nums = integer_tables(s, beh)
-    except (MissingContextTable, NegativeProbability):
-        return  # the validation test checks these against the reference
-    coords = Layout(s).behavior_coords(beh)
-    assert [Fraction(v, den) for row in nums for v in row] == coords
 
 
 def test_deviation_at_tol_is_not_reported(chsh):
