@@ -511,13 +511,9 @@ def test_float_tol_zero_validates_exactly(chsh):
             membership_test(beh, scenario, tol=tol)
     assert membership_test(beh, scenario).member
     assert membership_test(beh, scenario, tol=1e-9).member
-
-
-def test_float_tol_zero_validates_the_rationals_the_lp_reads(chsh):
     # every table (0.1, 0.2, 0.3, 0.4): the float sum rounds to 1.0, but
-    # the rationals these floats hold sum to 1 + 2^-55, so at tol=0 the
-    # behavior is refused before the LP instead of getting a witness
-    scenario, _ = chsh
+    # the rationals these floats hold, which the LP reads, sum to
+    # 1 + 2^-55, so tol=0 refuses the behavior instead of separating it
     values = (0.1, 0.2, 0.3, 0.4)
     assert sum(values) == 1.0 and sum(map(F, values)) == 1 + F(1, 2**55)
     tables = {ctx: dict(zip(outcome_grid(scenario, ctx), values)) for ctx in scenario.contexts}
