@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import AtlasError, ResourceError, UsageError, ValidationError
+from .errors import AtlasError, InvalidLimit, ResourceError, UsageError, ValidationError
 from .polytope import DEFAULT_BUDGET
 
 SCHEMA_VERSION = 1
@@ -322,6 +322,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name in ("budget", "limit"):
+            if getattr(args, name, 0) < 0:
+                raise InvalidLimit(f"--{name} must be >= 0")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -49,6 +49,10 @@ class BudgetExceeded(ResourceError):
     pass
 
 
+class InvalidLimit(ValidationError):
+    """A negative budget or size limit: no input could fit it."""
+
+
 class NoDisturbanceViolated(ValidationError):
     pass
 

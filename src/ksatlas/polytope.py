@@ -176,7 +176,7 @@ def _int_terms(scenario, inequality):
         terms.append((
             tuple(members),
             tuple(label_pos[m][o] for m, o in zip(members, asg)),
-            int(coef * denom),
+            coef.numerator * (denom // coef.denominator),
         ))
     return terms, denom
 

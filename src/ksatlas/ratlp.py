@@ -1,9 +1,8 @@
 """Exact linear programming with a revised, fraction-free simplex.
 
 Only the phase-1 feasibility question is needed by the toolkit: is there
-x >= 0 with A x = b? The simplex runs with Bland's rule, so it cannot
-cycle, and every step is exact integer arithmetic (Edmonds, J. Res. NBS
-71B, 1967; the fraction-free pivoting of Bareiss):
+x >= 0 with A x = b? Every step is exact integer arithmetic (Edmonds,
+J. Res. NBS 71B, 1967; the fraction-free pivoting of Bareiss):
 
 - each row (negated where b_i < 0) is scaled by the lcm s_i of its
   coefficients' denominators; its artificial column stays the unit
@@ -34,18 +33,34 @@ so the block's entries are the full tableau's, integer for integer:
 - the columns of A' are stored once, as their nonzeros (a vertex column
   of the membership LP has one per context plus the normalization);
 - with u = t + d * L/s (the duals times d), the cost-row entry of
-  structural column j is u . a'_j. A run of columns is priced by one
-  gather, multiply and segmented sum over its nonzeros. Bland's rule
-  needs only the lowest-index positive entry, so runs of doubling width
-  are priced from column 0 until one holds it; only when no structural
-  column improves do the artificial entries t_k, read from the block,
-  decide;
+  structural column j is u . a'_j. Every structural column is priced
+  by one gather, multiply and segmented sum over the nonzeros; the
+  artificial entries t_k are read from the block;
 - the entering column is d B^-1 a'_j = block @ a'_j, or block column k
   for artificial k.
 
-These are the full tableau's reduced costs and columns, so Bland's
-choices, the point x and the certificate are those of the full tableau,
-at O(m^2) per pivot plus the nonzeros priced, instead of O(m (n + m)).
+These are the full tableau's reduced costs and columns, at O(m^2) per
+pivot plus the nonzeros, instead of O(m (n + m)).
+
+The entering rule is Dantzig's: the structural column with the largest
+positive reduced cost, lowest index on ties. An artificial enters,
+lowest index first, only when no structural column improves. Every
+structural reduced cost is d * L times the original one, so the choice
+does not depend on the scaling. A pivot whose leaving row has a zero
+right-hand side is degenerate: it leaves the objective where it was.
+After m consecutive degenerate pivots (m rows) Bland's rule (Math. Oper.
+Res. 2, 103, 1977) enters instead, the lowest-index improving column
+with structural columns before artificial ones, until a pivot moves the
+objective. The ratio test always breaks ties on the smallest basis
+variable, as Bland's rule asks. On the uniform 12-cycle's membership LP
+this takes 42 pivots where Bland's rule alone takes 2,570.
+
+The solve terminates. A pivot that moves the objective lowers it
+strictly, and the objective is a function of the basis, so no basis
+recurs across such a pivot and there are finitely many of them. An
+endless run would therefore end in an endless stretch of degenerate
+pivots; from its m-th pivot on every pivot follows Bland's rule, which
+cannot cycle, yet an endless run through finitely many bases must.
 
 The block is held as two parts. The right-hand side d B^-1 R b, with the
 cost row's entry, carries R and is a list of Python ints throughout; a
@@ -64,16 +79,17 @@ On the first failed bound the arrays become Python ints for the rest of
 the solve. int64 arithmetic that does not overflow is exact, so every
 reduced cost, column, ratio and pivot is the one Python ints give: the
 dtype never changes the answer, only its cost. On membership LPs of
-0/1 vertex columns d and the entries of d B^-1 stay small (11 bits at
-most on the uniform 12-cycle), so the whole solve runs in int64 while
-only the right-hand side is wide.
+0/1 vertex columns d and the entries of d B^-1 stay small (19 bits at
+most on the uniform 12-cycle, 30 on the 16-cycle), so the whole solve
+runs in int64 while only the right-hand side is wide.
 
-All three rescalings are positive, so every reduced cost keeps its sign
-and every ratio keeps its order: the pivot sequence, the point x and the
-certificate are those of the same simplex over Fractions. On
-infeasibility the certificate y, read from the artificial columns of the
-cost row, satisfies y . A <= 0 componentwise and y . b > 0, which is
-what the polytope separation step consumes.
+All three rescalings are positive, so every reduced cost keeps its sign,
+the structural ones keep their order, and every ratio keeps its order:
+the pivot sequence, the point x and the certificate are those of the
+same simplex over Fractions. On infeasibility the certificate y, read
+from the artificial columns of the cost row, satisfies y . A <= 0
+componentwise and y . b > 0, which is what the polytope separation step
+consumes.
 """
 
 from __future__ import annotations
@@ -168,14 +184,16 @@ def solve_feasibility(a_rows, b):
     b: list of ints, Fractions or floats.
 
     Only the block [d B^-1 | d B^-1 R b] and its cost row are pivoted;
-    each step prices the structural columns from their nonzeros, in
-    runs from column 0 until the first improving one (see the module
-    docstring). The reduced costs and entering columns are the full
-    Bland tableau's, so the pivots, x, the certificate and the objective
-    are too. Rows that numpy holds as integers go into the integer
-    matrix A' unscaled; only rows with Fractions (or floats) are scaled
-    by the lcm of their denominators. R b is formed from the numerators
-    and denominators of b, with no Fraction arithmetic.
+    each step prices every structural column from its nonzeros and
+    enters the largest positive reduced cost, or, after m consecutive
+    degenerate pivots and until the objective moves, the lowest-index
+    improving column (Bland); see the module docstring. The reduced
+    costs and entering columns are the full tableau's, so the pivots,
+    x, the certificate and the objective are too. Rows that numpy holds
+    as integers go into the integer matrix A' unscaled; only rows with
+    Fractions (or floats) are scaled by the lcm of their denominators.
+    R b is formed from the numerators and denominators of b, with no
+    Fraction arithmetic.
 
     d B^-1, its cost row, the column nonzeros and the artificial costs
     are int64 while a bound checked before each pricing and each update
@@ -219,32 +237,29 @@ def solve_feasibility(a_rows, b):
     basis = list(range(n, n + m))
     det = 1
     pivots = 0
-
+    # consecutive degenerate pivots; from m on, Bland's rule enters
+    degenerate = 0
     while True:
         # pricing reads u, u * a'_j and their sums; past 2^63 the block
         # and the columns go to Python ints for the rest of the solve
         if not wide and (inv_max + det * cost_max) * width >= _INT64:
             wide = True
             inv, vals, cost = inv.astype(object), vals.astype(object), cost.astype(object)
-        # Bland: lowest-index column with positive z_j - c_j; every
-        # structural column precedes every artificial one. Only the first
-        # such column matters, so the structural columns are priced in
-        # doubling runs (the first as wide as the block) until one has it.
+        # every structural z_j - c_j in one pass; the largest positive
+        # one enters (lowest index on ties), or under Bland the first
         u = inv[m] + det * cost
         column = None
-        lo, hi = 0, min(m + 1, live.size)
-        while column is None and lo < hi:
-            nz = slice(starts[lo], ends[hi - 1])
-            reduced = np.add.reduceat(u[rows[nz]] * vals[nz], starts[lo:hi] - starts[lo])
-            improving = np.flatnonzero(reduced > 0)
-            if improving.size:
-                k = lo + int(improving[0])
+        if live.size:
+            reduced = np.add.reduceat(u[rows] * vals, starts)
+            k = int(np.argmax(reduced > 0) if degenerate >= m else np.argmax(reduced))
+            if reduced[k] > 0:
                 enter = int(live[k])
                 seg = slice(starts[k], ends[k])
                 column = np.empty(m + 1, dtype=inv.dtype)
                 column[:m] = inv[:m, rows[seg]] @ vals[seg]
-                column[m] = reduced[improving[0]]
-            lo, hi = hi, min(2 * hi, live.size)
+                column[m] = reduced[k]
+        # an artificial, lowest index first, only when no structural
+        # column improves; every structural column precedes it
         if column is None:
             improving = np.flatnonzero(inv[m] > 0)
             if improving.size == 0:
@@ -278,6 +293,8 @@ def solve_feasibility(a_rows, b):
         if not wide:
             inv_max = _abs_max(inv)
         r = rhs[leave]
+        # the pivot moves the objective unless the leaving row's rhs is 0
+        degenerate = degenerate + 1 if r == 0 else 0
         rhs = [(v * piv - c * r) // det for v, c in zip(rhs, col)]
         rhs[leave] = r
         det = piv

@@ -16,10 +16,16 @@ def _exact(v):
     return F(int(v)) if isinstance(v, numbers.Integral) else F(v)
 
 
-def fraction_simplex(a_rows, b):
-    """Reference: the phase-1 Bland simplex on a full Fraction tableau.
-    Returns (feasible, x, certificate, objective, pivots), the fields of
-    ratlp.FeasibilityResult in order."""
+def fraction_simplex(a_rows, b, bland_after=None):
+    """Reference: the phase-1 simplex on a full Fraction tableau. The
+    structural column with the largest positive reduced cost enters
+    (lowest index on ties); an artificial, lowest index first, only when
+    no structural column improves. After bland_after consecutive
+    degenerate pivots (zero right-hand side in the leaving row; default
+    m, the row count) the lowest-index improving column enters until a
+    pivot moves the objective. Ratio ties go to the smallest basis
+    variable. Returns (feasible, x, certificate, objective, pivots), the
+    fields of ratlp.FeasibilityResult in order."""
     m, n = len(a_rows), len(a_rows[0])
     tab = []
     for i, (row, rhs) in enumerate(zip(a_rows, b)):
@@ -29,13 +35,21 @@ def fraction_simplex(a_rows, b):
     width = n + m
     basis = list(range(n, width))
     red = [sum(r[j] for r in tab) - (j >= n and j < width) for j in range(width + 1)]
-    pivots = 0
+    bland_after = m if bland_after is None else bland_after
+    pivots = degenerate = 0
     while True:
-        enter = next((j for j in range(width) if red[j] > 0), None)
+        improving = [j for j in range(n) if red[j] > 0]
+        if not improving:
+            enter = next((j for j in range(n, width) if red[j] > 0), None)
+        elif degenerate >= bland_after:
+            enter = improving[0]
+        else:
+            enter = max(improving, key=lambda j: (red[j], -j))
         if enter is None:
             break
         cand = [i for i in range(m) if tab[i][enter] > 0]
         leave = min(cand, key=lambda i: (tab[i][width] / tab[i][enter], basis[i]))
+        degenerate = degenerate + 1 if tab[leave][width] == 0 else 0
         row = [v / tab[leave][enter] for v in tab[leave]]
         tab = [row if i == leave else [v - t[enter] * w for v, w in zip(t, row)]
                if t[enter] else t for i, t in enumerate(tab)]

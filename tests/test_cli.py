@@ -266,3 +266,25 @@ def test_sic_verify_without_samples_writes_null(workdir, capsys):
     code, doc = run(capsys, "sic", "verify", "pm_square.sicset.json", "--samples", "0")
     assert code == 0 and doc["result"]["is_sic"]
     assert doc["result"]["sample_min"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "chsh.scenario.json", "uniform.json", "--budget", "-1"],
+    ["bound", "chsh.scenario.json", "chsh.inequality.json", "--budget", "-1"],
+    ["tight", "chsh.scenario.json", "chsh.inequality.json", "--budget", "-1"],
+    ["map", "chsh.scenario.json", "chsh.inequality.json", "--budget", "-1"],
+    ["graph", "alpha", "c5.json", "--limit", "-1"],
+    ["graph", "theta", "c5.json", "--limit", "-1"],
+])
+def test_negative_budget_or_limit_exits_2(workdir, capsys, tmp_path, argv):
+    # a negative cap is invalid input (exit 2), not a resource limit (exit 3);
+    # each command succeeds with the option left at its default
+    from ksatlas.scenario import Scenario, uniform_behavior
+    scenario = Scenario.from_json(json.loads(
+        (tmp_path / "chsh.scenario.json").read_text()))
+    (tmp_path / "uniform.json").write_text(json.dumps(uniform_behavior(scenario).to_json()))
+    (tmp_path / "c5.json").write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
+    assert main(argv[:-2]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0\n"

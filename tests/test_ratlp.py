@@ -168,6 +168,21 @@ def test_membership_shaped_systems_take_the_reference_path(system):
             res.pivots) == fraction_simplex(a, b)
 
 
+def test_bland_fallback_takes_over_after_m_degenerate_pivots():
+    # the membership LP of vertex 2 of these 11 columns (m = 6 rows):
+    # after one pivot that moves the objective, largest-coefficient
+    # pricing makes 6 degenerate pivots in a row, so Bland's rule picks
+    # the last two; pricing alone would take another path
+    coords = np.array([[0, 1, 0, 0, 1], [0, 0, 1, 1, 1], [1, 0, 1, 1, 1], [0, 1, 0, 0, 0],
+                       [0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 1, 1, 1, 0], [1, 1, 1, 1, 1],
+                       [0, 0, 0, 1, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0]], dtype=np.uint8)
+    a, b = _membership_lp(coords, [F(int(v)) for v in coords[2]], 0)
+    res = solve_feasibility(a, b)
+    reference = fraction_simplex(a, b)
+    assert (res.feasible, res.x, res.certificate, res.objective, res.pivots) == reference
+    assert res.feasible and res.x[2] == 1
+    assert fraction_simplex(a, b, bland_after=10**9) != reference
+
 @st.composite
 def wide_systems(draw):
     """Systems whose int64 block outgrows 2^63 part-way through the solve:
