@@ -27,6 +27,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(flag, least):
+    """argparse type for flag: an int; one below least raises InvalidLimit
+    (exit 2), since no input could fit it."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise InvalidLimit(f"{flag} must be >= {least}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _load(path, parse):
     """parse(JSON content of path); a missing, non-JSON or wrongly shaped
     file raises ValidationError naming it."""
@@ -249,14 +261,14 @@ def build_parser():
     q = sub.add_parser("bound", help="exact classical bound of an inequality")
     q.add_argument("scenario")
     q.add_argument("inequality")
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    q.add_argument("--budget", type=_count("--budget", 0), default=DEFAULT_BUDGET,
                    help="max entries of the largest elimination table")
     q.set_defaults(fn=cmd_bound)
 
     q = sub.add_parser("tight", help="facet verdict for an inequality")
     q.add_argument("scenario")
     q.add_argument("inequality")
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    q.add_argument("--budget", type=_count("--budget", 0), default=DEFAULT_BUDGET,
                    help="max elimination-table entries, coordinates and face vertices")
     q.set_defaults(fn=cmd_tight)
 
@@ -264,16 +276,16 @@ def build_parser():
     q.add_argument("scenario")
     q.add_argument("behavior")
     q.add_argument("--tol", type=float, default=None)
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    q.add_argument("--budget", type=_count("--budget", 0), default=DEFAULT_BUDGET,
                    help="max deterministic assignments to enumerate")
     q.set_defaults(fn=cmd_member)
 
     q = sub.add_parser("graph", help="graph invariants")
     q.add_argument("what", choices=["alpha", "theta", "ratio", "partition"])
     q.add_argument("graph")
-    q.add_argument("--n", type=int, default=2)
+    q.add_argument("--n", type=_count("--n", 1), default=2)
     q.add_argument("--tol", type=float, default=1e-6)
-    q.add_argument("--limit", type=int, default=64)
+    q.add_argument("--limit", type=_count("--limit", 0), default=64)
     q.set_defaults(fn=cmd_graph)
 
     q = sub.add_parser("qvalue", help="seesaw lower bound on the quantum value")
@@ -281,7 +293,7 @@ def build_parser():
     q.add_argument("inequality")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--restarts", type=int, default=20)
-    q.add_argument("--iters", type=int, default=300)
+    q.add_argument("--iters", type=_count("--iters", 1), default=300)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--model", action="store_true", help="include the model in the report")
     q.set_defaults(fn=cmd_qvalue)
@@ -293,7 +305,7 @@ def build_parser():
     q = sub.add_parser("sic", help="state-independent witness sets")
     q.add_argument("what", choices=["verify", "critical"])
     q.add_argument("sicset")
-    q.add_argument("--samples", type=int, default=100)
+    q.add_argument("--samples", type=_count("--samples", 0), default=100)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_sic)
 
@@ -305,7 +317,7 @@ def build_parser():
     q.add_argument("--dim", type=int, default=2)
     q.add_argument("--restarts", type=int, default=8)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    q.add_argument("--budget", type=_count("--budget", 0), default=DEFAULT_BUDGET,
                    help="max elimination-table entries, coordinates and face vertices")
     q.set_defaults(fn=cmd_map)
 
@@ -322,9 +334,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name in ("budget", "limit"):
-            if getattr(args, name, 0) < 0:
-                raise InvalidLimit(f"--{name} must be >= 0")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

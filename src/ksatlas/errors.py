@@ -50,7 +50,8 @@ class BudgetExceeded(ResourceError):
 
 
 class InvalidLimit(ValidationError):
-    """A negative budget or size limit: no input could fit it."""
+    """A count below its least value (a negative budget or size limit, no
+    iteration, no part): no input could fit it."""
 
 
 class NoDisturbanceViolated(ValidationError):

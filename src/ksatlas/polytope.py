@@ -313,8 +313,8 @@ def _membership_lp(coords, coords_b, tol):
     a -slack and a cap filler. Rows: D coordinate equations, the weight
     normalization, and for tol > 0 the slack caps. The coefficients are
     one int64 array, built once and returned as the list of its rows,
-    which the solver reads as integer rows; only the right-hand sides
-    are Fractions.
+    since solve_feasibility reads integer rows only; the behavior and
+    tol enter through the right-hand sides alone, as Fractions.
     """
     n, d = coords.shape
     caps = 0 if tol == 0 else d

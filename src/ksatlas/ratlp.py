@@ -1,27 +1,22 @@
 """Exact linear programming with a revised, fraction-free simplex.
 
 Only the phase-1 feasibility question is needed by the toolkit: is there
-x >= 0 with A x = b? Every step is exact integer arithmetic (Edmonds,
-J. Res. NBS 71B, 1967; the fraction-free pivoting of Bareiss):
+x >= 0 with A x = b? A is given as integer rows; b may hold ints,
+Fractions or floats (read as the rationals they hold). Every step is
+exact integer arithmetic (Edmonds, J. Res. NBS 71B, 1967; the
+fraction-free pivoting of Bareiss):
 
-- each row (negated where b_i < 0) is scaled by the lcm s_i of its
-  coefficients' denominators; its artificial column stays the unit
-  vector, so the artificial of row i stands for s_i times the original.
-  A row that numpy holds as integers (an integer array, or a list of
-  Python ints within int64) has s_i = 1: it is copied into the integer
-  matrix A' as it is, with no lcm and no Fraction. Every row of the
-  membership LP is one, a row of one int64 array;
-- artificial i costs L / s_i, with L the lcm of all s_i, which is the
-  original phase-1 objective times L;
-- the right-hand side is scaled by one common R, the lcm of the scaled
-  b_i's denominators, which multiplies every variable by R. Only that
-  column carries R, so a rational b with large denominators (rationalized
-  floats) leaves the coefficient columns small. R s_i b_i is formed in
+- each row is negated where b_i < 0, giving A'; every artificial column
+  is a unit vector of cost 1, the original phase-1 objective;
+- the right-hand side is scaled by one common R, the lcm of b's
+  denominators, which multiplies every variable by R. Only that column
+  carries R, so a rational b with large denominators (rationalized
+  floats) leaves the coefficient columns small. R b_i is formed in
   integers from b_i's numerator and denominator;
 - the full tableau would hold d * B^-1 [A' | I | R b] with d = det B > 0,
-  A' the scaled rows, and the reduced-cost row kept the same way below
-  it. A pivot on p = T[r, e] replaces every other row by
-  (p * T - T[:, e] T[r]) / d, an exact division, and d becomes p;
+  and the reduced-cost row kept the same way below it. A pivot on
+  p = T[r, e] replaces every other row by (p * T - T[:, e] T[r]) / d, an
+  exact division, and d becomes p;
 - ratio tests compare cross-multiplied integers.
 
 The simplex is revised (Dantzig and Orchard-Hays, 1954): it pivots only
@@ -32,10 +27,10 @@ so the block's entries are the full tableau's, integer for integer:
 
 - the columns of A' are stored once, as their nonzeros (a vertex column
   of the membership LP has one per context plus the normalization);
-- with u = t + d * L/s (the duals times d), the cost-row entry of
-  structural column j is u . a'_j. Every structural column is priced
-  by one gather, multiply and segmented sum over the nonzeros; the
-  artificial entries t_k are read from the block;
+- with u = t + d (the duals times d), the cost-row entry of structural
+  column j is u . a'_j. Every structural column is priced by one
+  gather, multiply and segmented sum over the nonzeros; the artificial
+  entries t_k are read from the block;
 - the entering column is d B^-1 a'_j = block @ a'_j, or block column k
   for artificial k.
 
@@ -45,7 +40,7 @@ pivot plus the nonzeros, instead of O(m (n + m)).
 The entering rule is Dantzig's: the structural column with the largest
 positive reduced cost, lowest index on ties. An artificial enters,
 lowest index first, only when no structural column improves. Every
-structural reduced cost is d * L times the original one, so the choice
+structural reduced cost is d times the original one, so the choice
 does not depend on the scaling. A pivot whose leaving row has a zero
 right-hand side is degenerate: it leaves the objective where it was.
 After m consecutive degenerate pivots (m rows) Bland's rule (Math. Oper.
@@ -65,25 +60,26 @@ cannot cycle, yet an endless run through finitely many bases must.
 The block is held as two parts. The right-hand side d B^-1 R b, with the
 cost row's entry, carries R and is a list of Python ints throughout; a
 pivot updates it in O(m). The rest, inv = d B^-1 over its cost row t,
-is an int64 array, as are the stored nonzeros and the artificial costs,
-while a bound proves that no product or sum leaves (-2^63, 2^63):
+is an int64 array, as are the stored nonzeros, while a bound proves that
+no product or sum leaves (-2^63, 2^63):
 
-- before pricing, (max|inv| + d * max L/s) * W < 2^63, where W is the
-  largest |a'_ij| times the most nonzeros in a column, bounds u, each
-  product u_i a'_ij and the sums u . a'_j and d B^-1 a'_j;
+- before pricing, (max|inv| + d) * W < 2^63, where W is the largest
+  |a'_ij| times the most nonzeros in a column, bounds u, each product
+  u_i a'_ij and the sums u . a'_j and d B^-1 a'_j;
 - before a pivot, max|inv| * p + max|column| * max|pivot row| < 2^63
   bounds inv * p - column (x) pivot_row; the exact division by d only
   shrinks it.
 
 On the first failed bound the arrays become Python ints for the rest of
-the solve. int64 arithmetic that does not overflow is exact, so every
+the solve, as they are from the start when an entry of A' does not fit
+int64. int64 arithmetic that does not overflow is exact, so every
 reduced cost, column, ratio and pivot is the one Python ints give: the
 dtype never changes the answer, only its cost. On membership LPs of
 0/1 vertex columns d and the entries of d B^-1 stay small (19 bits at
 most on the uniform 12-cycle, 30 on the 16-cycle), so the whole solve
 runs in int64 while only the right-hand side is wide.
 
-All three rescalings are positive, so every reduced cost keeps its sign,
+Both rescalings are positive, so every reduced cost keeps its sign,
 the structural ones keep their order, and every ratio keeps its order:
 the pivot sequence, the point x and the certificate are those of the
 same simplex over Fractions. On infeasibility the certificate y, read
@@ -95,6 +91,7 @@ consumes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,35 +122,26 @@ def _ratio(v):
     return int(v.numerator), int(v.denominator)
 
 
-def _scaled_system(a_rows, b):
-    """(A', scales s_i, signs, R, R b' as Python ints) of the system: row i
-    of A' is row i of A times s_i and times the sign that makes b_i >= 0,
-    b' the right-hand side scaled the same way, and R the lcm of the
-    denominators of b'.
+def _integer_system(a_rows, b):
+    """(A', signs, R, R b' as Python ints): row i of A' is row i of A
+    times the sign that makes b_i >= 0, b' = |b|, and R the lcm of the
+    denominators of b.
 
-    A row that numpy holds as integers (an integer array, or a list of
-    Python ints that fits int64) is copied into A' as it is, with s_i = 1;
-    any other row is read as Fractions and s_i is the lcm of their
-    denominators. A' is int64, or object (Python ints) when an entry does
-    not fit. R b'_i is formed from the numerator and denominator of b_i.
+    A' is int64, or object (Python ints) when an entry does not fit. A
+    row entry that is not an integer (a Fraction, even an integral one,
+    or a float) raises TypeError. R b'_i is formed from the numerator
+    and denominator of b_i.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    a = np.empty((m, n), dtype=np.int64)
-    scales = [1] * m
-    fractional = {}
-    for i, row in enumerate(a_rows):
-        arr = row if isinstance(row, np.ndarray) else np.asarray(row)
-        if np.can_cast(arr.dtype, np.int64):
-            a[i] = arr
-            continue
-        vals = [_ratio(v) for v in row]
-        scales[i] = scale = math.lcm(*(q for _, q in vals))
-        fractional[i] = [p * (scale // q) for p, q in vals]
-    if fractional and not all(-_INT64 <= v < _INT64 for r in fractional.values() for v in r):
-        a = a.astype(object)
-    for i, r in fractional.items():
-        a[i] = r
+    a = np.array(a_rows)
+    if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64):
+        a = a.astype(np.int64, copy=False)
+    else:
+        # numpy holds ints past int64 as object, uint64 or even float64,
+        # so every entry is checked as the object it is
+        a = np.array(a_rows, dtype=object)
+        if not all(isinstance(v, numbers.Integral) for v in a.flat):
+            raise TypeError("solve_feasibility reads integer rows only")
+        a = np.frompyfunc(int, 1, 1)(a)
 
     rhs = [_ratio(v) for v in b]
     signs = [-1 if p < 0 else 1 for p, _ in rhs]
@@ -161,14 +149,8 @@ def _scaled_system(a_rows, b):
     if a.dtype != object and flip and int(a[flip].min(initial=0)) == -_INT64:
         a = a.astype(object)  # -(-2^63) is not an int64
     a[flip] *= -1
-    # s_i b_i = (s_i / g) p / (q / g) in lowest terms, g = gcd(s_i, q)
-    nums, dens = [], []
-    for (p, q), s, sign in zip(rhs, scales, signs):
-        g = math.gcd(s, q)
-        nums.append(sign * (s // g) * p)
-        dens.append(q // g)
-    rhs_scale = math.lcm(*dens)
-    return a, scales, signs, rhs_scale, [p * (rhs_scale // q) for p, q in zip(nums, dens)]
+    rhs_scale = math.lcm(*(q for _, q in rhs))
+    return a, signs, rhs_scale, [abs(p) * (rhs_scale // q) for p, q in rhs]
 
 
 def _abs_max(a):
@@ -179,8 +161,9 @@ def _abs_max(a):
 def solve_feasibility(a_rows, b):
     """Decide {x >= 0 : A x = b} with exact arithmetic.
 
-    a_rows: list of rows, each an integer numpy array or a sequence of
-    ints, Fractions or floats (read as the rationals they hold).
+    a_rows: list of integer rows, each an integer numpy array or a
+    sequence of ints (Python ints past int64 are solved exactly too); a
+    Fraction or float entry raises TypeError, even when it is integral.
     b: list of ints, Fractions or floats.
 
     Only the block [d B^-1 | d B^-1 R b] and its cost row are pivoted;
@@ -189,24 +172,16 @@ def solve_feasibility(a_rows, b):
     degenerate pivots and until the objective moves, the lowest-index
     improving column (Bland); see the module docstring. The reduced
     costs and entering columns are the full tableau's, so the pivots,
-    x, the certificate and the objective are too. Rows that numpy holds
-    as integers go into the integer matrix A' unscaled; only rows with
-    Fractions (or floats) are scaled by the lcm of their denominators.
-    R b is formed from the numerators and denominators of b, with no
-    Fraction arithmetic.
+    x, the certificate and the objective are too.
 
-    d B^-1, its cost row, the column nonzeros and the artificial costs
-    are int64 while a bound checked before each pricing and each update
-    keeps every product and sum below 2^63, and Python ints from the
-    first step where it does not; the right-hand side is always Python
-    ints. Every step is exact either way, so the dtype never changes a
-    pivot. Every entry of x, the certificate and the objective is a
-    Fraction of Python ints.
+    d B^-1, its cost row and the column nonzeros are int64 while a bound
+    checked before each pricing and each update keeps every product and
+    sum below 2^63, and Python ints from the first step where it does
+    not; the right-hand side is always Python ints. Every entry of x,
+    the certificate and the objective is a Fraction of Python ints.
     """
-    a, scales, signs, rhs_scale, rhs = _scaled_system(a_rows, b)
+    a, signs, rhs_scale, rhs = _integer_system(a_rows, b)
     m, n = a.shape
-    lcm = math.lcm(*scales)
-    costs = [lcm // s for s in scales]
 
     # the columns of A' as nonzeros: rows[starts[k]:ends[k]] and
     # vals[...] for structural column live[k]; all-zero columns never
@@ -220,9 +195,8 @@ def solve_feasibility(a_rows, b):
     starts = ends - counts[live]
     # |u . a'_j| <= max|u| * width for every column j
     width = max(1, _abs_max(vals) * int(counts.max(initial=0)))
-    cost_max = max(costs, default=0)
     # the loop's pricing bound at d = 1 and inv = I
-    wide = a_t.dtype == object or (1 + cost_max) * width >= _INT64
+    wide = a_t.dtype == object or 2 * width >= _INT64
     if wide:
         vals = vals.astype(object)
 
@@ -231,8 +205,7 @@ def solve_feasibility(a_rows, b):
     # objective), 0 at the start. rhs: d B^-1 R b and, last, the cost
     # row's entry, as Python ints.
     inv = np.eye(m + 1, m, dtype=vals.dtype)
-    cost = np.array(costs, dtype=vals.dtype)
-    rhs.append(sum(c * r for c, r in zip(costs, rhs)))
+    rhs.append(sum(rhs))
     inv_max = 1
     basis = list(range(n, n + m))
     det = 1
@@ -242,12 +215,12 @@ def solve_feasibility(a_rows, b):
     while True:
         # pricing reads u, u * a'_j and their sums; past 2^63 the block
         # and the columns go to Python ints for the rest of the solve
-        if not wide and (inv_max + det * cost_max) * width >= _INT64:
+        if not wide and (inv_max + det) * width >= _INT64:
             wide = True
-            inv, vals, cost = inv.astype(object), vals.astype(object), cost.astype(object)
+            inv, vals = inv.astype(object), vals.astype(object)
         # every structural z_j - c_j in one pass; the largest positive
         # one enters (lowest index on ties), or under Bland the first
-        u = inv[m] + det * cost
+        u = inv[m] + det
         column = None
         if live.size:
             reduced = np.add.reduceat(u[rows] * vals, starts)
@@ -286,7 +259,7 @@ def solve_feasibility(a_rows, b):
         # the update forms inv * piv - column (x) pivot_row
         if not wide and inv_max * piv + _abs_max(column) * _abs_max(pivot_row) >= _INT64:
             wide = True
-            inv, vals, cost = inv.astype(object), vals.astype(object), cost.astype(object)
+            inv, vals = inv.astype(object), vals.astype(object)
             column, pivot_row = column.astype(object), pivot_row.astype(object)
         inv = (inv * piv - np.outer(column, pivot_row)) // det
         inv[leave] = pivot_row
@@ -301,8 +274,8 @@ def solve_feasibility(a_rows, b):
         basis[leave] = enter
         pivots += 1
 
-    # phase-1 value: the cost row's rhs is det * L * R * (original objective)
-    objective = Fraction(rhs[m], det * lcm * rhs_scale)
+    # phase-1 value: the cost row's rhs is det * R * (original objective)
+    objective = Fraction(rhs[m], det * rhs_scale)
     if objective == 0:
         x = [ZERO] * n
         for i in range(m):
@@ -310,9 +283,7 @@ def solve_feasibility(a_rows, b):
                 x[basis[i]] = Fraction(rhs[i], det * rhs_scale)
         return FeasibilityResult(True, x, None, ZERO, pivots)
 
-    # infeasible: the multiplier of scaled row i is t_i/det + L/s_i, t the
-    # cost row of inv; undoing the row scale and the factor L gives the
-    # original multiplier, and rows that were sign-flipped flip it back.
-    y = [sign * Fraction(t * s + det * lcm, det * lcm)
-         for t, s, sign in zip(inv[m].tolist(), scales, signs)]
+    # infeasible: the multiplier of row i is t_i/det + 1, t the cost row
+    # of inv, flipped back on rows that were sign-flipped
+    y = [sign * Fraction(t + det, det) for t, sign in zip(inv[m].tolist(), signs)]
     return FeasibilityResult(False, None, y, objective, pivots)

@@ -275,10 +275,17 @@ def test_sic_verify_without_samples_writes_null(workdir, capsys):
     ["map", "chsh.scenario.json", "chsh.inequality.json", "--budget", "-1"],
     ["graph", "alpha", "c5.json", "--limit", "-1"],
     ["graph", "theta", "c5.json", "--limit", "-1"],
+    ["qvalue", "chsh.scenario.json", "chsh.inequality.json", "--dim", "2", "--restarts", "1",
+     "--iters", "-1"],
+    ["sic", "verify", "pm_square.sicset.json", "--samples", "-1"],
+    ["graph", "partition", "c5.json", "--n", "-1"],
+    ["graph", "partition", "c5.json", "--n", "0"],
 ])
 def test_negative_budget_or_limit_exits_2(workdir, capsys, tmp_path, argv):
-    # a negative cap is invalid input (exit 2), not a resource limit (exit 3);
-    # each command succeeds with the option left at its default
+    # a count below its least value (a negative cap, no iteration, no
+    # part) is invalid input (exit 2), not a resource limit (exit 3) or
+    # an empty answer; each command succeeds with the option left at its
+    # default
     from ksatlas.scenario import Scenario, uniform_behavior
     scenario = Scenario.from_json(json.loads(
         (tmp_path / "chsh.scenario.json").read_text()))
@@ -287,4 +294,5 @@ def test_negative_budget_or_limit_exits_2(workdir, capsys, tmp_path, argv):
     assert main(argv[:-2]) == 0
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0\n"
+    least = 1 if argv[-2] in ("--iters", "--n") else 0
+    assert capsys.readouterr().err == f"error: {argv[-2]} must be >= {least}\n"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,21 @@ from ksatlas.ratlp import solve_feasibility
 F = Fraction
 
 
+def integer_rows(a_rows, b):
+    """Each row holding Fractions, and its entry of b, times the lcm of
+    the row's denominators: the same solutions, in the integer rows that
+    solve_feasibility reads."""
+    rows, rhs = [], []
+    for row, v in zip(a_rows, b):
+        if any(isinstance(x, F) for x in row):
+            row = [F(x) for x in row]
+            scale = math.lcm(*(x.denominator for x in row))
+            row, v = [int(x * scale) for x in row], F(v) * scale
+        rows.append(row)
+        rhs.append(v)
+    return rows, rhs
+
+
 def check_certificate(a_rows, b, y):
     """y must separate: y.A <= 0 on every column yet y.b > 0."""
     m, n = len(a_rows), len(a_rows[0])
@@ -22,7 +38,7 @@ def check_certificate(a_rows, b, y):
 
 def test_feasible_point_is_exact():
     # x1 + x2 = 1, x1 - x2 = 1/3  ->  x = (2/3, 1/3)
-    a = [[F(1), F(1)], [F(1), F(-1)]]
+    a = [[1, 1], [1, -1]]
     b = [F(1), F(1, 3)]
     res = solve_feasibility(a, b)
     assert res.feasible
@@ -33,7 +49,7 @@ def test_feasible_point_is_exact():
 
 def test_infeasible_has_valid_certificate():
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
-    a = [[F(1), F(1)], [F(1), F(1)]]
+    a = [[1, 1], [1, 1]]
     b = [F(1), F(2)]
     res = solve_feasibility(a, b)
     assert not res.feasible
@@ -41,7 +57,7 @@ def test_infeasible_has_valid_certificate():
 
 
 def test_negative_rhs_rows_are_handled():
-    a = [[F(1), F(-2)]]
+    a = [[1, -2]]
     b = [F(-3)]
     res = solve_feasibility(a, b)
     assert res.feasible
@@ -59,8 +75,8 @@ def test_random_convex_hull_instances_match_scipy():
             point = w @ verts
         else:
             point = rng.uniform(-0.5, 1.5, size=d)
-        a = [[F(int(verts[j][i])) for j in range(nv)] for i in range(d)]
-        a.append([F(1)] * nv)
+        a = [[int(verts[j][i]) for j in range(nv)] for i in range(d)]
+        a.append([1] * nv)
         b = [F(x).limit_denominator(10**6) for x in point] + [F(1)]
         res = solve_feasibility(a, b)
         ref = linprog(np.zeros(nv), A_eq=np.vstack([verts.T, np.ones(nv)]),
@@ -74,9 +90,9 @@ def test_random_convex_hull_instances_match_scipy():
 def test_degenerate_system_does_not_cycle():
     # classic degeneracy: redundant equalities with a zero rhs
     a = [
-        [F(1), F(1), F(1), F(0)],
-        [F(1), F(1), F(1), F(0)],
-        [F(0), F(0), F(0), F(1)],
+        [1, 1, 1, 0],
+        [1, 1, 1, 0],
+        [0, 0, 0, 1],
     ]
     b = [F(0), F(0), F(1)]
     res = solve_feasibility(a, b)
@@ -90,7 +106,8 @@ fractions = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5, 6, 
 @st.composite
 def systems(draw):
     """Small systems with mixed denominators, negative right-hand sides,
-    and degenerate rows: zero rows with zero rhs and rescaled copies."""
+    and degenerate rows: zero rows with zero rhs and rescaled copies;
+    every row is then scaled to integers."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     a = [draw(st.lists(fractions, min_size=n, max_size=n)) for _ in range(m)]
     b = draw(st.lists(fractions, min_size=m, max_size=m))
@@ -104,7 +121,7 @@ def systems(draw):
             f = draw(st.sampled_from([F(1), F(-1), F(2, 3), F(-5, 2)]))
             a.append([f * v for v in a[i]])
             b.append(f * b[i])
-    return a, b
+    return integer_rows(a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,8 +149,8 @@ def membership_systems(draw):
     right-hand side is a convex mixture of the columns (a member), a
     point drawn independently of them (mostly a non-member), or a float
     mixture with noise, rationalized exactly (denominators near 2^53).
-    Up to three rows that are Fraction combinations of others make the
-    system redundant and run the row-scaling path."""
+    Up to three rows that are Fraction combinations of others, scaled to
+    integers, make the system redundant."""
     tol = draw(st.sampled_from([0, 0, F(1e-9), F(1, 8)]))
     d = draw(st.integers(5, 19) if tol == 0 else st.integers(3, 9))
     n = draw(st.integers(1, 40))
@@ -156,7 +173,7 @@ def membership_systems(draw):
         f, g = draw(fractions), draw(fractions)
         a.append([f * u + g * v for u, v in zip(a[i], a[j])])
         b.append(f * b[i] + g * b[j])
-    return a, b
+    return integer_rows(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,8 +204,8 @@ def test_bland_fallback_takes_over_after_m_degenerate_pivots():
 def wide_systems(draw):
     """Systems whose int64 block outgrows 2^63 part-way through the solve:
     coefficients of 2^29-2^40 among small ones, in rows of ints or of
-    Fractions with small denominators. The right-hand side is A x for a
-    small x >= 0 (feasible) or drawn freely."""
+    Fractions with small denominators scaled to integers. The right-hand
+    side is A x for a small x >= 0 (feasible) or drawn freely."""
     m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
     big = 2 ** draw(st.integers(30, 40))
     entry = st.one_of(st.integers(-3, 3), st.builds(lambda s, v: s * v, st.sampled_from([1, -1]),
@@ -205,7 +222,7 @@ def wide_systems(draw):
         b = [sum(v * xi for v, xi in zip(row, x)) for row in a]
     else:
         b = draw(st.lists(st.integers(-big, big), min_size=m, max_size=m))
-    return a, b
+    return integer_rows(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,11 +244,6 @@ def test_int64_guard_keeps_wide_systems_exact():
     # pivot_row is what leaves int64
     res = solve_feasibility([[1817072, 1], [0, -3862693]], [3634146, -7725386])
     assert (res.feasible, res.x, res.pivots) == (True, [F(2), F(2)], 2)
-    # the artificial costs L / s_i pass 2^63 before any pivot
-    a = [[F(1, 2**32 - 5), 1], [1, F(1, 2**31 - 1)], [F(1, 2**33 + 1), F(1, 7)]]
-    res = solve_feasibility(a, [1, 1, 1])
-    assert (res.feasible, res.x, res.certificate, res.objective,
-            res.pivots) == fraction_simplex(a, [1, 1, 1])
 
 
 def test_outputs_are_fractions_of_python_ints():
@@ -243,17 +255,39 @@ def test_outputs_are_fractions_of_python_ints():
         # promoted part-way, feasible and infeasible
         ([[3943913018, 3], [-3, 2602656453]], [3, 2602656453]),
         ([[3943913018, 3], [-3, 2602656453]], [-3, 2602656453]),
-        # Python ints from the start: a coefficient, then the costs, past int64
+        # Python ints from the start: a coefficient past int64
         ([[2**70, 1], [1, 1]], [F(1, 3), 1]),
-        ([[F(1, 2**32 - 5), 1], [1, F(1, 2**31 - 1)], [F(1, 2**33 + 1), F(1, 7)]], [1, 1, 1]),
-        # scaled Fraction rows; a rationalized float right-hand side
-        ([[F(1, 3), 1], [1, F(2, 7)]], [F(1, 2), 1]),
+        # Fraction rows scaled to integers; a rationalized float right-hand side
+        integer_rows([[F(1, 2**32 - 5), 1], [1, F(1, 2**31 - 1)], [F(1, 2**33 + 1), F(1, 7)]],
+                     [1, 1, 1]),
+        integer_rows([[F(1, 3), 1], [1, F(2, 7)]], [F(1, 2), 1]),
         _membership_lp(np.array([[0, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=np.uint8), point, 0),
     ]
     for a, b in cases:
         res = solve_feasibility(a, b)
         for v in [res.objective, *(res.x or []), *(res.certificate or [])]:
             assert type(v) is F and type(v.numerator) is int and type(v.denominator) is int
+
+
+@pytest.mark.parametrize("entry", [F(1, 3), F(2), 0.5, 1.0])
+def test_non_integer_row_entries_raise_type_error(entry):
+    # an integral Fraction or float is refused too: rows are read as
+    # integers, and nothing is truncated
+    with pytest.raises(TypeError):
+        solve_feasibility([[1, 1], [1, entry]], [1, 1])
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64 - 1, -(2**63) - 1, 2**70])
+def test_python_int_rows_past_int64_are_exact(big):
+    # numpy reads the first two as float64 next to a negative entry, the
+    # others as objects; feasible with x = (1, 1), then infeasible
+    a = [[big, 1], [1, -1]]
+    for b, feasible in (([big + 1, 0], True), ([-1, 1], False)):
+        res = solve_feasibility(a, b)
+        assert res.feasible is feasible
+        assert (res.feasible, res.x, res.certificate, res.objective,
+                res.pivots) == fraction_simplex(a, b)
+    assert solve_feasibility(a, [big + 1, 0]).x == [1, 1]
 
 
 # a coefficient near 2^62 fits int64 but makes the first pricing bound
