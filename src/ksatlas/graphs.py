@@ -457,7 +457,7 @@ def _sandwich(graph, tol, size_limit):
     limit, then tol, as lovasz_theta and contextuality_ratio promise."""
     if graph.n > size_limit:
         raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise InvalidTolerance("tol must be positive")
     adj = graph.adjacency_masks()
     k = len(_greedy_independent_set(adj))

@@ -9,6 +9,11 @@ variable elimination: classical_bound reads the maximum, which also
 bounds membership_test's separating witness, and tightness_test reads
 the maximum and the maximizers, whose rows alone the exact rank sees.
 Only membership builds every vertex (enumerate_vertices).
+
+Coordinates follow the scenario's cached coordinate form: a vertex or
+behavior is read in `Scenario.grids` order, and the coordinate count D
+comes from `Scenario.radices` and the contexts alone, so every budget
+check runs before a grid is built.
 """
 
 from __future__ import annotations
@@ -26,18 +31,17 @@ from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
     Inequality,
+    Scenario,
     check_inequality,
     _exact_issues,
     _integer_tables,
     frac,
     frac_str,
-    outcome_grid,
     validate_behavior,
 )
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "Layout",
     "PolytopeDescription",
     "TightnessReport",
     "MembershipResult",
@@ -53,31 +57,9 @@ DEFAULT_BUDGET = 1 << 24
 MEMORY_BUDGET = 1 << 26  # max stored coordinate entries (rows * D)
 
 
-class Layout:
-    """Flat coordinate order: maximal contexts lexicographically, each
-    table in row-major outcome order."""
-
-    def __init__(self, scenario):
-        self.scenario = scenario
-        self.contexts = scenario.contexts
-        self.grids = [outcome_grid(scenario, c) for c in self.contexts]
-        self.pairs = [
-            (ctx, asg)
-            for ctx, grid in zip(self.contexts, self.grids)
-            for asg in grid
-        ]
-        self.size = len(self.pairs)
-
-    def behavior_from_row(self, row):
-        tables = {ctx: {} for ctx in self.contexts}
-        for (ctx, asg), v in zip(self.pairs, row):
-            tables[ctx][asg] = Fraction(int(v))
-        return Behavior(self.scenario, "rational", tables)
-
-
 @dataclass
 class PolytopeDescription:
-    layout: Layout
+    scenario: Scenario
     coords: np.ndarray          # (N, D) uint8, row i: assignment i's vertex
 
     @property
@@ -85,7 +67,11 @@ class PolytopeDescription:
         return self.coords.shape[0]
 
     def vertex_behavior(self, i):
-        return self.layout.behavior_from_row(self.coords[i])
+        s = self.scenario
+        values = iter(self.coords[i].tolist())
+        tables = {ctx: {asg: Fraction(next(values)) for asg in grid}
+                  for ctx, grid in zip(s.contexts, s.grids)}
+        return Behavior(s, "rational", tables)
 
 
 @dataclass(frozen=True)
@@ -117,23 +103,20 @@ class MembershipResult:
         return out
 
 
-def _assignment_space(scenario):
-    radices = [len(o) for o in scenario.outcomes]
-    return radices, math.prod(radices)
-
-
-def _coordinate_count(contexts, radices):
+def _coordinate_count(scenario):
     """D: the summed table sizes of the maximal contexts."""
-    return sum(math.prod(radices[m] for m in ctx) for ctx in contexts)
+    radices = scenario.radices
+    return sum(math.prod(radices[m] for m in ctx) for ctx in scenario.contexts)
 
 
-def _coordinate_rows(contexts, radices, digits):
-    """Exact 0/1 coordinate rows, in Layout order, of the assignments
-    given as one outcome-index array per measurement."""
+def _coordinate_rows(scenario, digits):
+    """Exact 0/1 coordinate rows, in `scenario.grids` order, of the
+    assignments given as one outcome-index array per measurement."""
+    radices = scenario.radices
     n = len(digits[0]) if digits else 1  # no measurements: one empty assignment
-    coords = np.zeros((n, _coordinate_count(contexts, radices)), dtype=np.uint8)
+    coords = np.zeros((n, _coordinate_count(scenario)), dtype=np.uint8)
     offset = 0
-    for ctx in contexts:
+    for ctx in scenario.contexts:
         pos = np.zeros(n, dtype=np.int64)  # int64 first: small digits never wrap
         for m in ctx:
             pos = pos * radices[m] + digits[m]
@@ -150,32 +133,28 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
     (isolated ones in a singleton), so a vertex's coordinates determine
     its assignment and no deduplication is needed.
     """
-    radices, total = _assignment_space(scenario)
+    total = math.prod(scenario.radices)
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget}")
-    # D from the contexts alone: Layout, which builds every grid, comes after
-    size = _coordinate_count(scenario.contexts, radices)
+    size = _coordinate_count(scenario)
     if total * size > MEMORY_BUDGET:
         raise BudgetExceeded(
             f"{total} x {size} coordinate entries exceed the memory budget")
-    layout = Layout(scenario)
     # the maximizers of the empty inequality: every assignment, in index order
-    coords = _coordinate_rows(layout.contexts, radices, maximizers(radices, []))
-    return PolytopeDescription(layout, coords)
+    coords = _coordinate_rows(scenario, maximizers(scenario.radices, []))
+    return PolytopeDescription(scenario, coords)
 
 
 def _int_terms(scenario, inequality):
     """Terms with outcome labels replaced by indices and coefficients
     scaled to integers; returns (terms, denominator)."""
-    label_pos = [
-        {o: k for k, o in enumerate(outs)} for outs in scenario.outcomes
-    ]
+    label_index = scenario.label_index
     denom = math.lcm(*(coef.denominator for _, _, coef in inequality.terms))
     terms = []
     for members, asg, coef in inequality.terms:
         terms.append((
             tuple(members),
-            tuple(label_pos[m][o] for m, o in zip(members, asg)),
+            tuple(label_index[m][o] for m, o in zip(members, asg)),
             coef.numerator * (denom // coef.denominator),
         ))
     return terms, denom
@@ -197,8 +176,7 @@ def _eliminate(inequality, scenario, budget):
     elimination record gives the maximizers."""
     check_inequality(scenario, inequality)
     terms, denom = _int_terms(scenario, inequality)
-    radices, _ = _assignment_space(scenario)
-    best, elimination = best_assignment(radices, terms, budget)
+    best, elimination = best_assignment(scenario.radices, terms, budget)
     return Fraction(best, denom), elimination
 
 
@@ -218,8 +196,7 @@ def polytope_dimension(scenario):
     for ctx in scenario.contexts:
         for k in range(1, len(ctx) + 1):
             cliques.update(itertools.combinations(ctx, k))
-    return sum(math.prod(len(scenario.outcomes[m]) - 1 for m in c)
-               for c in cliques)
+    return sum(math.prod(scenario.radices[m] - 1 for m in c) for c in cliques)
 
 
 def int_rank(rows):
@@ -290,8 +267,7 @@ def _face_verdict(inequality, scenario, max_val, elimination, budget):
     """tightness_test's verdict from an elimination already run: max_val
     and elimination may come from another scenario with the same
     outcome counts and terms, whose maximizers are the same assignments."""
-    radices, _ = _assignment_space(scenario)
-    size = _coordinate_count(scenario.contexts, radices)
+    size = _coordinate_count(scenario)
     if size > budget:
         raise BudgetExceeded(f"{size} coordinates exceed budget {budget}")
     poly_dim = polytope_dimension(scenario)  # admitted: walks at most D subsets
@@ -299,8 +275,9 @@ def _face_verdict(inequality, scenario, max_val, elimination, budget):
         return TightnessReport("violated-by-vertex", max_val, 0, -1, poly_dim)
     if max_val < inequality.bound:
         return TightnessReport("not supporting", max_val, 0, -1, poly_dim)
-    face = maximizers(radices, elimination, limit=min(budget, MEMORY_BUDGET // max(size, 1)))
-    rows = _coordinate_rows(scenario.contexts, radices, face)
+    face = maximizers(scenario.radices, elimination,
+                      limit=min(budget, MEMORY_BUDGET // max(size, 1)))
+    rows = _coordinate_rows(scenario, face)
     face_dim = _affine_rank(rows)
     verdict = "facet" if face_dim == poly_dim - 1 else "lower-dimensional face"
     return TightnessReport(verdict, max_val, rows.shape[0], face_dim, poly_dim)
@@ -364,7 +341,6 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     tol = frac(tol)
 
     desc = enumerate_vertices(scenario, budget=budget)
-    layout = desc.layout
     den, nums = tables
     b = [Fraction(v, den) for row in nums for v in row]
 
@@ -377,13 +353,11 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     # the slack columns force y_cap <= 0 and |y_i| <= -y_cap_i, so y.b > 0
     # puts b past every vertex by more than tol * sum |y_i|: y[:D] separates
     # every behavior within tol of b strictly
-    coefs = res.certificate[: layout.size]
-    value = sum(c * b[i] for i, c in enumerate(coefs) if c)
-    terms = tuple(
-        (layout.pairs[i][0], layout.pairs[i][1], coefs[i])
-        for i in range(layout.size)
-        if coefs[i] != 0
-    )
+    coefs = res.certificate[: len(b)]
+    value = sum(c * v for c, v in zip(coefs, b) if c)
+    events = ((ctx, asg) for ctx, grid in zip(scenario.contexts, scenario.grids)
+              for asg in grid)
+    terms = tuple((ctx, asg, c) for (ctx, asg), c in zip(events, coefs) if c)
     # within budget: no elimination table exceeds the admitted assignment count
     bound = classical_bound(Inequality(terms, 0), scenario, budget=budget)
     witness = Inequality(terms, bound, kind="NCHV", label="separating-witness")

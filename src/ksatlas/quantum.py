@@ -35,7 +35,6 @@ from .scenario import (
     correlator_decomposition,
     frac,
     frac_str,
-    outcome_grid,
 )
 
 __all__ = [
@@ -197,14 +196,14 @@ def quantum_behavior(model, scenario):
     """
     validate_model(model, scenario)
     rho = model.density()
+    label_index = scenario.label_index
     tables = {}
-    for members in scenario.contexts:
+    for members, grid in zip(scenario.contexts, scenario.grids):
         tab = {}
-        for asg in outcome_grid(scenario, members):
+        for asg in grid:
             op = rho
             for m, o in zip(members, asg):
-                oi = scenario.outcomes[m].index(o)
-                op = op @ model.effects[m][oi]
+                op = op @ model.effects[m][label_index[m][o]]
             p = float(np.trace(op).real)
             tab[asg] = 0.0 if abs(p) < 1e-15 else p
         tables[members] = tab
@@ -566,12 +565,12 @@ def witness_operator(sic_set):
     """Operator form of the witness: sum of coef times the (commuting)
     product of the effects selected by each term."""
     d = sic_set.dim
+    label_index = sic_set.scenario.label_index
     w = np.zeros((d, d), dtype=complex)
     for members, asg, coef in sic_set.witness.terms:
         op = np.eye(d, dtype=complex)
         for m, o in zip(members, asg):
-            oi = sic_set.scenario.outcomes[m].index(o)
-            op = op @ sic_set.effects[m][oi]
+            op = op @ sic_set.effects[m][label_index[m][o]]
         w = w + float(coef) * op
     return herm(w)
 

@@ -1,11 +1,15 @@
 """Measurement scenarios, behaviors, and linear inequalities over them.
 
 A scenario is a list of measurements with finite outcome sets plus a
-compatibility graph; it holds its contexts, the maximal cliques, as
-`Scenario.contexts`. A behavior stores one probability table per maximal
-context, either as exact rationals or as floats. Inequalities are linear
-functionals over event probabilities; correlator expressions are stored
-expanded into event terms so a single evaluation path serves both forms.
+compatibility graph. It caches its coordinate form on first use: the
+contexts (`Scenario.contexts`, the maximal cliques), the outcome counts
+(`radices`), the label-to-index maps (`label_index`) and each context's
+outcome grid (`grids`). The grids, in context order and each row-major,
+are the one coordinate order of behaviors and polytope vertices. A
+behavior stores one probability table per maximal context, either as
+exact rationals or as floats. Inequalities are linear functionals over
+event probabilities; correlator expressions are stored expanded into
+event terms so a single evaluation path serves both forms.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ def frac_str(x):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Measurements, outcome labels and compatibility graph. The contexts
-    are computed on first use and kept on the instance; == and hash read
-    only the three fields."""
+    """Measurements, outcome labels and compatibility graph. The
+    coordinate form (contexts, radices, label_index, grids) is computed
+    on first use and kept on the instance; == and hash read only the
+    three fields."""
 
     measurements: tuple          # measurement identifiers, in index order
     outcomes: tuple              # per measurement, tuple of outcome labels
@@ -69,6 +74,22 @@ class Scenario:
     def contexts(self):
         """Maximal cliques of `compat`: sorted index tuples, lexicographic."""
         return tuple(maximal_cliques(self.compat))
+
+    @cached_property
+    def radices(self):
+        """Outcome count of each measurement."""
+        return tuple(len(outs) for outs in self.outcomes)
+
+    @cached_property
+    def label_index(self):
+        """Per measurement, {outcome label: outcome index}."""
+        return tuple({o: k for k, o in enumerate(outs)} for outs in self.outcomes)
+
+    @cached_property
+    def grids(self):
+        """outcome_grid of each maximal context, in `contexts` order: the
+        coordinate order of behaviors and polytope vertices."""
+        return tuple(tuple(outcome_grid(self, ctx)) for ctx in self.contexts)
 
     def index_of(self, mid):
         try:
@@ -366,21 +387,20 @@ class ValidationReport:
 def _integer_tables(scenario, behavior, nonnegative=True):
     """(den, nums): the behavior's table on each maximal context as
     integer numerators over one common denominator den > 0, the lcm of
-    the entries' denominators. nums[k][j] / den is entry j, in outcome-grid
-    order, of context k, in `scenario.contexts` order (the polytope's
-    Layout order). Float entries are read as the exact rationals they
-    hold. This one form feeds the exact validation and membership_test's
-    right-hand side.
+    the entries' denominators. nums[k][j] / den is entry j of context k,
+    in `scenario.grids` order. Float entries are read as the exact
+    rationals they hold. This one form feeds the exact validation and
+    membership_test's right-hand side.
 
     Contexts are read in order and each table in grid order. The first
     missing table or entry raises MissingContextTable, and with
     `nonnegative` a negative entry NegativeProbability, where it is met.
     """
     ratios = []
-    for ctx in scenario.contexts:
+    for ctx, grid in zip(scenario.contexts, scenario.grids):
         tab = behavior.table(ctx)  # raises MissingContextTable
         row = []
-        for asg in outcome_grid(scenario, ctx):
+        for asg in grid:
             if asg not in tab:
                 raise MissingContextTable(f"context {ctx} lacks entry for {asg}")
             v = tab[asg]
@@ -467,7 +487,7 @@ def _exact_issues(scenario, tables, tol):
         dev = abs(sum(row) - den)
         if dev * tol.denominator > limit:
             norm_issues.append((ctx, Fraction(dev, den)))
-    shapes = [tuple(len(scenario.outcomes[m]) for m in ctx) for ctx in ctxs]
+    shapes = [tuple(scenario.radices[m] for m in ctx) for ctx in ctxs]
     nd_issues = []
     for a, b, shared in _overlaps(ctxs):
         ta = _marginal(nums[a], shapes[a], tuple(map(ctxs[a].index, shared)))
@@ -485,15 +505,14 @@ def _float_issues(scenario, behavior, tol):
         tol = 1e-9
     ctxs = scenario.contexts
     norm_issues = []
-    for ctx in ctxs:
+    for ctx, grid in zip(ctxs, scenario.grids):
         tab = behavior.table(ctx)  # raises MissingContextTable
-        grid = outcome_grid(scenario, ctx)
         for asg in grid:
             if asg not in tab:
                 raise MissingContextTable(
                     f"context {ctx} lacks entry for {asg}")
             v = tab[asg]
-            if v < -float(tol):
+            if not v >= -float(tol):  # NaN fails too
                 raise NegativeProbability(f"P{asg}|{ctx} = {v}")
         dev = abs(sum(tab[a] for a in grid) - 1)
         if dev > tol:
@@ -532,8 +551,7 @@ def evaluate(inequality, behavior):
 
 def uniform_behavior(scenario, mode="rational"):
     tables = {}
-    for ctx in scenario.contexts:
-        grid = outcome_grid(scenario, ctx)
+    for ctx, grid in zip(scenario.contexts, scenario.grids):
         p = Fraction(1, len(grid)) if mode == "rational" else 1.0 / len(grid)
         tables[ctx] = {asg: p for asg in grid}
     return Behavior(scenario, mode, tables)
@@ -545,12 +563,9 @@ def deterministic_behavior(scenario, assignment, mode="rational"):
     one = Fraction(1) if mode == "rational" else 1.0
     zero = Fraction(0) if mode == "rational" else 0.0
     tables = {}
-    for ctx in scenario.contexts:
+    for ctx, grid in zip(scenario.contexts, scenario.grids):
         want = tuple(assignment[m] for m in ctx)
-        tables[ctx] = {
-            asg: (one if asg == want else zero)
-            for asg in outcome_grid(scenario, ctx)
-        }
+        tables[ctx] = {asg: (one if asg == want else zero) for asg in grid}
     return Behavior(scenario, mode, tables)
 
 
@@ -559,10 +574,11 @@ def mix_behaviors(behaviors, weights):
     first = behaviors[0]
     if first.mode == "rational":
         weights = [frac(w) for w in weights]
+    s = first.scenario
     tables = {}
-    for ctx in first.scenario.contexts:
+    for ctx, grid in zip(s.contexts, s.grids):
         tab = {}
-        for asg in outcome_grid(first.scenario, ctx):
+        for asg in grid:
             tab[asg] = sum(w * b.table(ctx)[asg] for w, b in zip(weights, behaviors))
         tables[ctx] = tab
-    return Behavior(first.scenario, first.mode, tables)
+    return Behavior(s, first.mode, tables)

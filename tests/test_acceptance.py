@@ -18,7 +18,7 @@ import pytest
 from ksatlas.bridge import bell_to_ks, ks_to_bell, n_cycle, pearle_hexagon, pm_square, sic_to_bell
 from ksatlas.cli import main
 from ksatlas.graphs import Graph, complete_graph, cycle_graph, independence_number, lovasz_theta
-from ksatlas.polytope import Layout, classical_bound, enumerate_vertices, membership_test, tightness_test
+from ksatlas.polytope import classical_bound, enumerate_vertices, membership_test, tightness_test
 from ksatlas.quantum import neumark_dilation, random_state, seesaw_max, verify_sic, criticality_check, witness_operator
 from ksatlas.scenario import (
     Behavior,

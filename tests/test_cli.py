@@ -237,10 +237,11 @@ def test_zero_restarts_exits_2(workdir, capsys, command):
     assert capsys.readouterr().err == "error: restarts must be >= 1\n"
 
 
-def test_theta_zero_tol_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_theta_zero_tol_exits_2(tmp_path, capsys, tol):
     gpath = tmp_path / "c5.json"
     gpath.write_text(json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}))
-    code = main(["graph", "theta", str(gpath), "--tol", "0"])
+    code = main(["graph", "theta", str(gpath), "--tol", tol])
     assert code == 2
     assert capsys.readouterr().err == "error: tol must be positive\n"
 
@@ -260,6 +261,21 @@ def test_invalid_tol_exits_2(workdir, capsys, tmp_path, command, tol):
     code = main([command, "chsh.scenario.json", str(path), "--tol", tol])
     assert code == 2
     assert capsys.readouterr().err == "error: tol must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["member", "validate"])
+def test_nan_float_entry_exits_2(workdir, capsys, tmp_path, command):
+    # NaN compares false with every bound, so it must fail the
+    # nonnegativity check, not pass validation (or crash the exact reading)
+    from ksatlas.scenario import Scenario, uniform_behavior
+    scenario = Scenario.from_json(json.loads(
+        (tmp_path / "chsh.scenario.json").read_text()))
+    doc = uniform_behavior(scenario, "float").to_json()
+    doc["tables"]["A1,B1"]["1,1"] = "nan"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "chsh.scenario.json", str(path)]) == 2
+    assert capsys.readouterr().err == "error: P(1, 1)|(0, 2) = nan\n"
 
 
 def test_sic_verify_without_samples_writes_null(workdir, capsys):

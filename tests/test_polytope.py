@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import fraction_simplex
 from ksatlas import polytope
-from ksatlas.bridge import n_cycle
+from ksatlas.bridge import n_cycle, n_cycle_quantum_model
 from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated
 from ksatlas.polytope import (
     DEFAULT_BUDGET,
-    Layout,
     _affine_rank,
     classical_bound,
     enumerate_vertices,
@@ -21,6 +20,7 @@ from ksatlas.polytope import (
     polytope_dimension,
     tightness_test,
 )
+from ksatlas.quantum import quantum_behavior
 from ksatlas.ratlp import FeasibilityResult
 from ksatlas.scenario import (
     Behavior,
@@ -40,14 +40,12 @@ F = Fraction
 
 def brute_vertices(scenario):
     """Oracle: behaviors of all assignments via itertools, deduplicated."""
-    layout = Layout(scenario)
     seen = []
     for combo in itertools.product(*scenario.outcomes):
         vec = []
-        for ctx in layout.contexts:
+        for ctx, grid in zip(scenario.contexts, scenario.grids):
             want = tuple(combo[m] for m in ctx)
-            vec.extend(1 if asg == want else 0
-                       for asg in outcome_grid(scenario, ctx))
+            vec.extend(1 if asg == want else 0 for asg in grid)
         if vec not in seen:
             seen.append(vec)
     return seen
@@ -102,6 +100,9 @@ def test_rows_follow_first_realizing_assignment(radices, edges):
     s = build_scenario([f"m{i}" for i in range(len(radices))], radices, edges)
     desc = enumerate_vertices(s)
     assert desc.coords.tolist() == brute_vertices(s)
+    # and vertex_behavior(i) reads row i back as assignment i's behavior
+    for i, combo in enumerate(itertools.product(*s.outcomes)):
+        assert desc.vertex_behavior(i) == deterministic_behavior(s, combo)
 
 
 def test_budget_is_enforced():
@@ -111,35 +112,31 @@ def test_budget_is_enforced():
 
 
 @pytest.mark.parametrize("budget", [1000, DEFAULT_BUDGET])
-def test_budgets_are_checked_before_the_grids_are_built(monkeypatch, budget):
+def test_budgets_are_checked_before_the_grids_are_built(budget):
     # K20 of dichotomic measurements: 2^20 assignments exceed a budget of
     # 1000, and at the default budget 2^20 x 2^20 coordinate entries exceed
-    # the memory budget; both refusals come before Layout builds the grid
+    # the memory budget; both refusals come before the grid is built
     s = build_scenario([f"m{i}" for i in range(20)], [2] * 20,
                        list(itertools.combinations(range(20), 2)))
-
-    def no_layout(scenario):
-        raise AssertionError("Layout built before the budget checks")
-
-    monkeypatch.setattr("ksatlas.polytope.Layout", no_layout)
     with pytest.raises(BudgetExceeded):
         enumerate_vertices(s, budget=budget)
+    assert "grids" not in vars(s)
 
 
 def test_tightness_budget_is_checked_before_the_grids_are_built(monkeypatch):
     # K20 of dichotomic measurements: its 2^20 coordinates exceed a budget
-    # of 1000, refused before Layout or the walk over 2^20 clique subsets
+    # of 1000, refused before the grid or the walk over 2^20 clique subsets
     s = build_scenario([f"m{i}" for i in range(20)], [2] * 20,
                        list(itertools.combinations(range(20), 2)))
     ineq = Inequality((((0, 1), (1, 1), F(1)),), 1)
 
     def too_early(scenario):
-        raise AssertionError("grids or cliques walked before the budget checks")
+        raise AssertionError("cliques walked before the budget checks")
 
-    monkeypatch.setattr("ksatlas.polytope.Layout", too_early)
     monkeypatch.setattr("ksatlas.polytope.polytope_dimension", too_early)
     with pytest.raises(BudgetExceeded):
         tightness_test(ineq, s, budget=1000)
+    assert "grids" not in vars(s)
 
 
 def test_vertex_behaviors_are_valid(hexagon):
@@ -409,6 +406,29 @@ def test_uniform_is_member(hexagon):
     assert membership_test(uniform_behavior(scenario), scenario).member
 
 
+def test_repeated_calls_build_no_grid(monkeypatch):
+    # the coordinate form is cached on the scenario: over two rounds of
+    # membership (rational and float) and quantum_behavior, each maximal
+    # context's grid is built once, on first use
+    s, _ = n_cycle(6)
+    built = []
+    grid = outcome_grid
+
+    def counting(scenario, members):
+        if tuple(members) in scenario.contexts:
+            built.append(tuple(members))
+        return grid(scenario, members)
+
+    monkeypatch.setattr("ksatlas.scenario.outcome_grid", counting)
+    rational, floats = uniform_behavior(s), uniform_behavior(s, "float")
+    model = n_cycle_quantum_model(6)
+    for _ in range(2):
+        assert membership_test(rational, s).member
+        assert membership_test(floats, s).member
+        quantum_behavior(model, s)
+    assert sorted(built) == sorted(s.contexts)
+
+
 def test_random_mixtures_are_members(chsh):
     scenario, _ = chsh
     rng = np.random.default_rng(7)
@@ -622,11 +642,10 @@ def test_membership_grid_search_agreement():
         vec = sum(F(wi, 4) * desc.coords[i].astype(int)
                   for i, wi in enumerate(w))
         grid_members.append(tuple(vec))
-    layout = desc.layout
     for vec in grid_members:
         tables = {}
         pos = 0
-        for ctx, grid in zip(layout.contexts, layout.grids):
+        for ctx, grid in zip(s.contexts, s.grids):
             tables[ctx] = {asg: frac(vec[pos + k]) for k, asg in enumerate(grid)}
             pos += len(grid)
         beh = Behavior(s, "rational", tables)
