@@ -33,8 +33,6 @@ from .scenario import (
     Inequality,
     Scenario,
     check_inequality,
-    _exact_issues,
-    _integer_tables,
     frac,
     frac_str,
     validate_behavior,
@@ -313,35 +311,29 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     """Exact membership in the convex hull of deterministic behaviors.
 
     Rational behaviors are decided exactly (tol defaults to 0); float
-    behaviors are validated with tol and then rationalized entrywise and
-    tested with a slack of tol (default 1e-9) around each coordinate,
-    which makes the verdict approximate in the documented sense. At tol=0
-    a float behavior is also validated exactly, on the rationals its
-    entries hold, which are what the LP reads. Both the validation and
-    the right-hand side read the behavior's integer form
-    (scenario._integer_tables). Non-members come with an exact
-    separating inequality respected by every vertex and strictly violated
-    by every behavior within tol of the (rationalized) behavior. A
-    negative or non-finite tol raises InvalidTolerance.
+    behaviors are read as the exact rationals their entries hold and
+    tested with a slack of tol (default 1e-9, read as the exact rational
+    it holds) around each coordinate, which makes the verdict approximate
+    in the documented sense. One validate_behavior call checks the
+    behavior, at tol 0 when it is rational and at tol when it is float,
+    and the right-hand side is the integer form that call checked
+    (ValidationReport.tables), so each behavior is read once.
+    Non-members come with an exact separating inequality respected by
+    every vertex and strictly violated by every behavior within tol of
+    the (rationalized) behavior. A negative or non-finite tol raises
+    InvalidTolerance.
     """
     if tol is not None and not 0 <= tol < math.inf:
         raise InvalidTolerance("tol must be finite and >= 0")
     exact = behavior.mode == "rational"
-    if tol is None:
-        tol = 0 if exact else 1e-9
-    valid = validate_behavior(scenario, behavior, tol=None if exact else tol).ok
-    if valid:
-        # complete tables, entries below 0 only within a float tol; at
-        # tol=0 a float behavior must also pass on the rationals the LP reads
-        tables = _integer_tables(scenario, behavior, nonnegative=False)
-        valid = exact or tol != 0 or not any(_exact_issues(scenario, tables, 0))
-    if not valid:
+    tol = frac((0 if exact else 1e-9) if tol is None else tol)
+    report = validate_behavior(scenario, behavior, tol=0 if exact else tol)
+    if not report.ok:
         raise NoDisturbanceViolated(
             "behavior fails normalization/no-disturbance; not a polytope question")
-    tol = frac(tol)
 
     desc = enumerate_vertices(scenario, budget=budget)
-    den, nums = tables
+    den, nums = report.tables
     b = [Fraction(v, den) for row in nums for v in row]
 
     rows, rhs = _membership_lp(desc.coords, b, tol)

@@ -7,16 +7,20 @@ contexts (`Scenario.contexts`, the maximal cliques), the outcome counts
 outcome grid (`grids`). The grids, in context order and each row-major,
 are the one coordinate order of behaviors and polytope vertices. A
 behavior stores one probability table per maximal context, either as
-exact rationals or as floats. Inequalities are linear functionals over
-event probabilities; correlator expressions are stored expanded into
-event terms so a single evaluation path serves both forms.
+exact rationals or as floats. Both modes are validated on one exact
+path: float entries and the tolerance are read as the exact rationals
+they hold, and the tables as integers over one common denominator
+(_integer_tables), the form membership also reads. Inequalities are
+linear functionals over event probabilities; correlator expressions are
+stored expanded into event terms so a single evaluation path serves
+both forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -213,14 +217,21 @@ class Behavior:
         mode = data["mode"]
         tables = {}
         for ckey, entries in data["tables"].items():
-            members = tuple(sorted(scenario.index_of(x) for x in ckey.split(",")))
+            named = [scenario.index_of(x) for x in ckey.split(",")]
+            # token k of an assignment key is the outcome of measurement
+            # named[k]; the table is stored in measurement-index order
+            order = sorted(range(len(named)), key=named.__getitem__)
+            members = tuple(named[k] for k in order)
             label_map = [
-                {str(o): o for o in scenario.outcomes[m]} for m in members
+                {str(o): o for o in scenario.outcomes[named[k]]} for k in order
             ]
             tab = {}
             for akey, val in entries.items():
                 toks = akey.split(",")
-                asg = tuple(label_map[k][tok] for k, tok in enumerate(toks))
+                if len(toks) != len(named):
+                    raise ScenarioMismatch(
+                        f"assignment {akey!r} does not match context {ckey!r}")
+                asg = tuple(lbl[toks[k]] for lbl, k in zip(label_map, order))
                 tab[asg] = frac(val) if mode == "rational" else float(val)
             tables[members] = tab
         return cls(scenario, mode, tables)
@@ -265,6 +276,10 @@ class Inequality:
     def from_json(cls, scenario, data):
         terms = []
         for t in data["terms"]:
+            if len(t["context"]) != len(t["assignment"]):
+                raise ScenarioMismatch(
+                    f"term context {t['context']} and assignment {t['assignment']} "
+                    "differ in length")
             pairs = sorted(
                 zip((scenario.index_of(x) for x in t["context"]), t["assignment"])
             )
@@ -361,6 +376,7 @@ class ValidationReport:
     normalization: tuple = ()      # (context, deviation) pairs
     negativity: tuple = ()         # (context, assignment, value)
     no_disturbance: tuple = ()     # (ctx_a, ctx_b, shared, max deviation)
+    tables: tuple | None = field(default=None, repr=False, compare=False)  # (den, nums)
 
     def to_json(self, scenario):
         key = lambda c: context_key(scenario, c)
@@ -384,18 +400,21 @@ class ValidationReport:
         }
 
 
-def _integer_tables(scenario, behavior, nonnegative=True):
+def _integer_tables(scenario, behavior, floor):
     """(den, nums): the behavior's table on each maximal context as
     integer numerators over one common denominator den > 0, the lcm of
     the entries' denominators. nums[k][j] / den is entry j of context k,
     in `scenario.grids` order. Float entries are read as the exact
-    rationals they hold. This one form feeds the exact validation and
-    membership_test's right-hand side.
+    rationals they hold. This one form is what validate_behavior checks
+    and what membership_test's right-hand side reads.
 
     Contexts are read in order and each table in grid order. The first
-    missing table or entry raises MissingContextTable, and with
-    `nonnegative` a negative entry NegativeProbability, where it is met.
+    missing table or entry raises MissingContextTable, and the first
+    entry that is NaN, infinite or below the Fraction `floor` (0 for
+    rational behaviors, -tol for float ones) NegativeProbability, where
+    it is met.
     """
+    lo, lo_den = floor.numerator, floor.denominator
     ratios = []
     for ctx, grid in zip(scenario.contexts, scenario.grids):
         tab = behavior.table(ctx)  # raises MissingContextTable
@@ -404,11 +423,14 @@ def _integer_tables(scenario, behavior, nonnegative=True):
             if asg not in tab:
                 raise MissingContextTable(f"context {ctx} lacks entry for {asg}")
             v = tab[asg]
-            q = frac(v)
-            num = int(q.numerator)
-            if num < 0 and nonnegative:
+            try:
+                q = frac(v)
+            except (ValueError, OverflowError):  # NaN and +-inf hold no rational
+                raise NegativeProbability(f"P{asg}|{ctx} = {v}") from None
+            num, q = int(q.numerator), int(q.denominator)
+            if num * lo_den < lo * q:
                 raise NegativeProbability(f"P{asg}|{ctx} = {v}")
-            row.append((num, int(q.denominator)))
+            row.append((num, q))
         ratios.append(row)
     den = math.lcm(*{q for row in ratios for _, q in row})
     return den, [[p * (den // q) for p, q in row] for row in ratios]
@@ -450,35 +472,40 @@ def _overlaps(contexts):
 
 
 def validate_behavior(scenario, behavior, tol=None):
-    """Normalization and no-disturbance checks.
+    """Normalization and no-disturbance checks, exact in both modes.
 
-    Rational mode compares exactly (tol, default 0, as a Fraction) on the
-    integer form of the tables (_integer_tables): sums and marginals are
-    integer numerators over the common denominator, and a Fraction is
-    built only for each deviation reported. Float mode compares the float
-    entries in float arithmetic with the given tolerance (default 1e-9),
-    at tol=0 too. A negative or non-finite tol raises InvalidTolerance.
-    Missing tables and negative entries raise; normalization and
-    marginal mismatches are reported.
+    tol defaults to 0 for rational behaviors and 1e-9 for float ones, and
+    is read as the exact rational it holds, as are float entries. One
+    path checks the integer form of the tables (_integer_tables): sums
+    and marginals are integer numerators over the common denominator, and
+    a deviation is built only for each issue reported, as a Fraction in
+    rational mode and as its nearest float in float mode. The report
+    keeps the form it checked (`tables`). A negative or non-finite tol
+    raises InvalidTolerance. Missing tables raise MissingContextTable;
+    entries below 0 (float mode: below -tol) or not finite raise
+    NegativeProbability. Normalization and marginal mismatches are
+    reported.
     """
     if tol is not None and not 0 <= tol < math.inf:
         raise InvalidTolerance("tol must be finite and >= 0")
     if behavior.scenario != scenario:
         raise ScenarioMismatch("behavior belongs to a different scenario")
-    if behavior.mode == "rational":
-        norm_issues, nd_issues = _exact_issues(
-            scenario, _integer_tables(scenario, behavior), tol)
-    else:
-        norm_issues, nd_issues = _float_issues(scenario, behavior, tol)
+    exact = behavior.mode == "rational"
+    tol = frac((0 if exact else 1e-9) if tol is None else tol)
+    tables = _integer_tables(scenario, behavior, Fraction(0) if exact else -tol)
+    norm_issues, nd_issues = _exact_issues(scenario, tables, tol)
+    if not exact:
+        norm_issues = [(c, float(d)) for c, d in norm_issues]
+        nd_issues = [(a, b, shared, float(d)) for a, b, shared, d in nd_issues]
     ok = not (norm_issues or nd_issues)
-    return ValidationReport(ok, tuple(norm_issues), (), tuple(nd_issues))
+    return ValidationReport(ok, tuple(norm_issues), (), tuple(nd_issues), tables)
 
 
 def _exact_issues(scenario, tables, tol):
     """validate_behavior's normalization and no-disturbance issues of the
     integer form `tables` = (den, nums) of a behavior: a deviation
-    dev / den exceeds tol = t / u exactly when dev * u > t * den."""
-    tol = frac(0 if tol is None else tol)
+    dev / den exceeds the Fraction tol = t / u exactly when
+    dev * u > t * den."""
     den, nums = tables
     limit = tol.numerator * den
     ctxs = scenario.contexts
@@ -495,39 +522,6 @@ def _exact_issues(scenario, tables, tol):
         worst = max(abs(x - y) for x, y in zip(ta, tb))
         if worst * tol.denominator > limit:
             nd_issues.append((ctxs[a], ctxs[b], shared, Fraction(worst, den)))
-    return norm_issues, nd_issues
-
-
-def _float_issues(scenario, behavior, tol):
-    """validate_behavior's normalization and no-disturbance issues of a
-    float behavior, entries compared with tol (default 1e-9)."""
-    if tol is None:
-        tol = 1e-9
-    ctxs = scenario.contexts
-    norm_issues = []
-    for ctx, grid in zip(ctxs, scenario.grids):
-        tab = behavior.table(ctx)  # raises MissingContextTable
-        for asg in grid:
-            if asg not in tab:
-                raise MissingContextTable(
-                    f"context {ctx} lacks entry for {asg}")
-            v = tab[asg]
-            if not v >= -float(tol):  # NaN fails too
-                raise NegativeProbability(f"P{asg}|{ctx} = {v}")
-        dev = abs(sum(tab[a] for a in grid) - 1)
-        if dev > tol:
-            norm_issues.append((ctx, dev))
-    nd_issues = []
-    for a, b, shared in _overlaps(ctxs):
-        worst = 0.0
-        ta = behavior.marginal_table(ctxs[a], shared)
-        tb = behavior.marginal_table(ctxs[b], shared)
-        for asg in outcome_grid(scenario, shared):
-            dev = abs(ta[asg] - tb[asg])  # complete: every table was checked above
-            if dev > worst:
-                worst = dev
-        if worst > tol:
-            nd_issues.append((ctxs[a], ctxs[b], shared, worst))
     return norm_issues, nd_issues
 
 

@@ -67,10 +67,11 @@ def fraction_simplex(a_rows, b, bland_after=None):
     return False, None, y, objective, pivots
 
 
-def fraction_validation(scenario, behavior, tol=0):
+def fraction_validation(scenario, behavior, tol=0, floor=0):
     """Reference: validate_behavior on a rational behavior in Fraction
-    arithmetic, entry by entry. Returns (ok, normalization, no_disturbance)
-    as the report holds them, or raises what validate_behavior raises."""
+    arithmetic, entry by entry; an entry below floor is negative. Returns
+    (ok, normalization, no_disturbance) as the report holds them, or
+    raises what validate_behavior raises."""
     tol = F(tol)
     ctxs = scenario.contexts
     norm = []
@@ -80,7 +81,7 @@ def fraction_validation(scenario, behavior, tol=0):
         for asg in grid:
             if asg not in tab:
                 raise MissingContextTable(f"context {ctx} lacks entry for {asg}")
-            if tab[asg] < 0:
+            if tab[asg] < floor:
                 raise NegativeProbability(f"P{asg}|{ctx} = {tab[asg]}")
         dev = abs(sum(tab[asg] for asg in grid) - 1)
         if dev > tol:

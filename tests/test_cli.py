@@ -263,19 +263,49 @@ def test_invalid_tol_exits_2(workdir, capsys, tmp_path, command, tol):
     assert capsys.readouterr().err == "error: tol must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["member", "validate"])
-def test_nan_float_entry_exits_2(workdir, capsys, tmp_path, command):
-    # NaN compares false with every bound, so it must fail the
-    # nonnegativity check, not pass validation (or crash the exact reading)
+def test_nan_float_entry_exits_2(workdir, capsys, tmp_path, command, value):
+    # NaN compares false with every bound and +-inf holds no rational, so
+    # each must fail the nonnegativity check, not pass validation (or
+    # crash the exact reading)
     from ksatlas.scenario import Scenario, uniform_behavior
     scenario = Scenario.from_json(json.loads(
         (tmp_path / "chsh.scenario.json").read_text()))
     doc = uniform_behavior(scenario, "float").to_json()
-    doc["tables"]["A1,B1"]["1,1"] = "nan"
+    doc["tables"]["A1,B1"]["1,1"] = value
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     assert main([command, "chsh.scenario.json", str(path)]) == 2
-    assert capsys.readouterr().err == "error: P(1, 1)|(0, 2) = nan\n"
+    assert capsys.readouterr().err == f"error: P(1, 1)|(0, 2) = {value}\n"
+
+
+def test_validate_and_member_agree_at_tol_zero(workdir, capsys, tmp_path):
+    # every table (0.1, 0.2, 0.3, 0.4) as floats: the float sum rounds to
+    # 1, but the rationals the floats hold sum to 1 + 2^-55, so at tol 0
+    # both commands refuse the behavior, and at the default 1e-9 both
+    # accept it
+    path = tmp_path / "tenths.json"
+    path.write_text(json.dumps({"mode": "float", "tables": {
+        key: {"1,1": 0.1, "1,-1": 0.2, "-1,1": 0.3, "-1,-1": 0.4}
+        for key in ("A1,B1", "A1,B2", "A2,B1", "A2,B2")}}))
+    code, doc = run(capsys, "validate", "chsh.scenario.json", str(path), "--tol", "0")
+    assert code == 2 and not doc["result"]["ok"]
+    assert doc["result"]["normalization"][0]["deviation"] == str(2.0 ** -55)
+    assert main(["member", "chsh.scenario.json", str(path), "--tol", "0"]) == 2
+    capsys.readouterr()
+    code, doc = run(capsys, "validate", "chsh.scenario.json", str(path))
+    assert code == 0 and doc["result"]["ok"]
+    code, doc = run(capsys, "member", "chsh.scenario.json", str(path))
+    assert code == 0 and doc["result"]["member"]
+
+
+def test_bound_refuses_a_truncated_term(workdir, capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"terms": [
+        {"context": ["A1", "B1"], "assignment": [1], "coef": "1"}], "bound": "1"}))
+    assert main(["bound", "chsh.scenario.json", str(path)]) == 2
+    assert "differ in length" in capsys.readouterr().err
 
 
 def test_sic_verify_without_samples_writes_null(workdir, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fraction_simplex
 from ksatlas import polytope
+from ksatlas import scenario as scenario_module
 from ksatlas.bridge import n_cycle, n_cycle_quantum_model
 from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated
 from ksatlas.polytope import (
@@ -33,6 +35,7 @@ from ksatlas.scenario import (
     mix_behaviors,
     outcome_grid,
     uniform_behavior,
+    validate_behavior,
 )
 
 F = Fraction
@@ -542,6 +545,31 @@ def test_float_tol_zero_validates_exactly(chsh):
         with pytest.raises(NoDisturbanceViolated):
             membership_test(beh, scenario, tol=tol)
     assert membership_test(beh, scenario).member
+
+
+def test_membership_reads_the_behavior_once(hexagon, chsh):
+    # one integer form per call, whichever name it is called by: the
+    # validation's form is the right-hand side
+    code = scenario_module._integer_tables.__code__
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    cases = [(hexagon[0], uniform_behavior(hexagon[0])),
+             (hexagon[0], uniform_behavior(hexagon[0], "float")),
+             (chsh[0], noisy_pr_box(chsh[0]))]
+    for s, beh in cases:
+        for run in (lambda: membership_test(beh, s), lambda: validate_behavior(s, beh)):
+            calls.clear()
+            previous = sys.getprofile()
+            sys.setprofile(count)
+            try:
+                run()
+            finally:
+                sys.setprofile(previous)
+            assert len(calls) == 1
 
 
 def test_float_mode_non_member_gets_a_strict_witness(chsh):

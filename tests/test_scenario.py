@@ -296,6 +296,32 @@ def test_behavior_json_round_trip(hexagon):
     assert d2.tables == det.tables
 
 
+def test_behavior_context_key_in_any_order(chsh):
+    # token k of an assignment key is the outcome of the k-th measurement
+    # named in the context key, whatever order the key names them in
+    s, _ = chsh
+    values = {"1,1": "1/2", "1,-1": "0", "-1,1": "1/8", "-1,-1": "3/8"}
+    sorted_key = {"mode": "rational", "tables": {"A1,B1": values}}
+    reversed_key = {"mode": "rational", "tables": {"B1,A1": {
+        ",".join(reversed(k.split(","))): v for k, v in values.items()}}}
+    b = Behavior.from_json(s, sorted_key)
+    r = Behavior.from_json(s, reversed_key)
+    assert r.tables == b.tables
+    assert r.tables[(0, 2)][(-1, 1)] == Fraction(1, 8)  # A1 = -1, B1 = 1
+    assert r.to_json() == b.to_json() == sorted_key
+    with pytest.raises(ScenarioMismatch):
+        Behavior.from_json(s, {"mode": "rational", "tables": {"B1,A1": {"1,1,1": "1"}}})
+
+
+@pytest.mark.parametrize("context,assignment", [(["A1", "B1"], [1]), (["A1"], [1, -1])])
+def test_inequality_term_lengths_must_agree(chsh, context, assignment):
+    s, _ = chsh
+    data = {"terms": [{"context": context, "assignment": assignment, "coef": "1"}],
+            "bound": "1"}
+    with pytest.raises(ScenarioMismatch, match="differ in length"):
+        Inequality.from_json(s, data)
+
+
 # denominators of several sizes: small, decimal, near 2^40 and 2^61
 # (primes), and powers of two up to 2^80 (rationalized floats)
 BIG_DENOMINATORS = [1, 2, 3, 7, 10**6, 2**40 - 87, 2**61 - 1, 2**53, 2**80]
@@ -366,6 +392,69 @@ def test_integer_validation_matches_the_fraction_reference(case):
 
     assert _outcome(integer) == _outcome(
         lambda: fraction_validation(s, beh, 0 if tol is None else tol))
+
+
+@st.composite
+def float_behaviors(draw):
+    """A random scenario (2-3 measurements, 2-3 outcomes each) with a
+    float mixture of deterministic behaviors, weights c_i / sum(c), a
+    tol in {0, 1e-12, 1e-9}, then up to three edits by k * step (step =
+    tol, or 1e-12 at tol 0; k in {0, 1/2, 1, 2}) that land near a
+    boundary: an entry pair shifted (no-disturbance), an entry moved
+    (normalization), an entry set to -k * step (the negativity floor)."""
+    n = draw(st.integers(2, 3))
+    radices = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    s = build_scenario([f"m{i}" for i in range(n)], radices, edges)
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    weights = [c / sum(counts) for c in counts]
+    dets = [deterministic_behavior(
+        s, {m: draw(st.sampled_from(s.outcomes[m])) for m in range(n)}, mode="float")
+        for _ in counts]
+    tables = {ctx: dict(tab) for ctx, tab in mix_behaviors(dets, weights).tables.items()}
+    tol = draw(st.sampled_from([0, 1e-12, 1e-9]))
+    step = tol or 1e-12
+    for _ in range(draw(st.integers(0, 3))):
+        tab = tables[draw(st.sampled_from(s.contexts))]
+        keys = list(tab)
+        i, j = draw(st.integers(0, len(keys) - 1)), draw(st.integers(0, len(keys) - 1))
+        delta = draw(st.sampled_from([0, 0.5, 1, 2])) * step * draw(st.sampled_from([1, -1]))
+        edit = draw(st.sampled_from(["shift", "add", "floor"]))
+        if edit == "shift":
+            tab[keys[i]] += delta
+            tab[keys[j]] -= delta
+        elif edit == "add":
+            tab[keys[i]] += delta
+        else:
+            tab[keys[i]] = -abs(delta)
+    return s, Behavior(s, "float", tables), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_behaviors())
+def test_float_validation_is_exact_on_the_rationals_held(case):
+    # the verdict and deviations are those of the Fraction reference on
+    # the rationals the floats hold, at the rational tol holds; entries
+    # in [-tol, 0) pass the negativity check
+    s, beh, tol = case
+    exact = Behavior(s, "rational", {ctx: {a: Fraction(v) for a, v in tab.items()}
+                                     for ctx, tab in beh.tables.items()})
+
+    def outcome(call):
+        try:
+            ok, norm, nd = call()
+        except NegativeProbability:
+            return NegativeProbability
+        return (ok, [(c, float(d)) for c, d in norm],
+                [(a, b, sh, float(d)) for a, b, sh, d in nd])
+
+    def floats():
+        rep = validate_behavior(s, beh, tol=tol)
+        assert all(type(d) is float for *_, d in rep.normalization + rep.no_disturbance)
+        return rep.ok, rep.normalization, rep.no_disturbance
+
+    assert outcome(floats) == outcome(
+        lambda: fraction_validation(s, exact, Fraction(tol), floor=-Fraction(tol)))
 
 
 def test_deviation_at_tol_is_not_reported(chsh):
