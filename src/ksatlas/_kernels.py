@@ -17,12 +17,15 @@ decomposition of a Bell scenario is the case that eliminates the largest
 party first.
 
 scope_tables is the one integer form of an inequality in the package.
-Its tables are int64 while the absolute coefficients sum below 2**62,
-which bounds every entry and every sum of entries, and object arrays of
-Python ints otherwise, so every result is exact. One elimination of it
-answers the classical bound (best_assignment), which is also the bound
-of a membership test's separating witness, and a facet test's bound and
-face (polytope.tightness_test reads maximizers).
+It reads integer index terms, already checked by whoever built them
+(polytope._int_terms, the SIC lift), in one pass that sums each scope's
+cells in a dict, and then fills each scope's table once. Its tables are
+int64 while the absolute coefficients sum below 2**62, which bounds
+every entry and every sum of entries, and object arrays of Python ints
+otherwise, so every result is exact. One elimination of it answers the
+classical bound (best_assignment), which is also the bound of a
+membership test's separating witness and of the SIC lift, and a facet
+test's bound and face (polytope.tightness_test reads maximizers).
 """
 
 from __future__ import annotations
@@ -55,25 +58,61 @@ def scope_tables(radices, terms):
     summing the integer coefficients of every term on that scope.
 
     terms: iterable of (measurement index tuple, outcome index tuple,
-    int coefficient). Terms that never fire are skipped and tables that
-    are zero everywhere dropped. Tables are int64 while the absolute
-    coefficients sum below INT64_LIMIT, object arrays of Python ints
-    otherwise.
+    int coefficient). One pass sums each term into its scope's cell; terms
+    that never fire are skipped. Each table is then filled once, and those
+    that are zero everywhere are dropped. Tables are int64 while the
+    absolute coefficients sum below INT64_LIMIT, object arrays of Python
+    ints otherwise.
     """
-    terms = list(terms)
-    wide = sum(abs(c) for _, _, c in terms) >= INT64_LIMIT
-    dtype = object if wide else np.int64
-    tables = {}
+    width = 0
+    cells = {}  # scope -> {row-major cell position: summed coefficient}
+    layouts = {}  # members -> (scope, strides) when no measurement repeats
     for members, outs, coef in terms:
-        event = term_event(members, outs)
-        if event is None:
+        width += abs(coef)
+        layout = layouts.get(members)
+        if layout is None:
+            layout = layouts[members] = _layout(radices, members)
+        if layout is False:  # a measurement repeats: read the event
+            event = term_event(members, outs)
+            if event is None:
+                continue
+            scope = tuple(sorted(event))
+            strides = _layout(radices, scope)[1]
+            outs = [event[m] for m in scope]
+        else:
+            scope, strides = layout
+        pos = 0
+        for o, stride in zip(outs, strides):
+            pos += o * stride
+        sums = cells.get(scope)
+        if sums is None:
+            sums = cells[scope] = {}
+        sums[pos] = sums.get(pos, 0) + coef
+    dtype = object if width >= INT64_LIMIT else np.int64
+    tables = {}
+    for scope, sums in cells.items():
+        if not any(sums.values()):
             continue
-        scope = tuple(sorted(event))
-        tab = tables.get(scope)
-        if tab is None:
-            tab = tables[scope] = np.zeros([radices[m] for m in scope], dtype=dtype)
-        tab[tuple(event[m] for m in scope)] += coef
-    return {scope: tab for scope, tab in tables.items() if np.count_nonzero(tab)}
+        shape = [radices[m] for m in scope]
+        flat = [0] * math.prod(shape)
+        for pos, coef in sums.items():
+            flat[pos] = coef
+        tables[scope] = np.array(flat, dtype=dtype).reshape(shape)
+    return tables
+
+
+def _layout(radices, members):
+    """(scope, strides): the sorted scope of a term on members and the
+    stride, in that scope's row-major table, of each member's outcome;
+    False when a measurement repeats."""
+    scope = tuple(sorted(members))
+    if len(set(scope)) != len(scope):
+        return False
+    stride, size = {}, 1
+    for m in reversed(scope):
+        stride[m] = size
+        size *= radices[m]
+    return scope, [stride[m] for m in members]
 
 
 def _elimination_order(radices, scopes, budget):

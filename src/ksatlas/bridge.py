@@ -6,12 +6,16 @@ of a multipartite KS scenario among spatially separated parties (which
 completes the compatibility graph and may cost tightness), the canned
 examples used throughout (hexagon with its six-term witness, n-cycles,
 CHSH, the two-qubit Peres-Mermin square), and the lift of a
-state-independent witness set to a bipartite Bell inequality.
+state-independent witness set to a bipartite Bell inequality. The lift
+is built as integer index terms over one scale, and one elimination of
+them gives its local bound; only the reported expression is written
+with outcome labels and Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -34,6 +38,7 @@ from .polytope import (
     DEFAULT_BUDGET,
     _eliminate,
     _face_verdict,
+    _scaled_maximum,
     classical_bound,
     tightness_test,
 )
@@ -405,9 +410,9 @@ class SicBellReport:
         }
 
 
-def _lift_once(s, witness, budget):
-    """Build the bipartite Bell scenario and expression for one witness on
-    the dichotomic scenario s.
+def _lift_terms(s, witness):
+    """The lift of one witness on the dichotomic scenario s as integer
+    index terms over one scale.
 
     For every correlator subset T of the witness (coefficient c_T) and
     every j in T, Alice jointly measures T and contributes the product of
@@ -415,53 +420,67 @@ def _lift_once(s, witness, budget):
     partner observable of j; on the maximally entangled state each such
     term reproduces the witness correlator, so their |T|-average restores
     the witness value q (minus the constant term, which is returned
-    separately). Returns (scenario, inequality at its local bound, constant).
+    separately). Alice's setting k is the k-th subset in sorted order, with
+    the 2^|T| joint outcomes in itertools.product order over (+1, -1), and
+    Bob's settings follow hers, one per measurement in a subset, outcomes
+    (+1, -1). Every term's coefficient c_T/|T| * (+-1) is an integer over
+    the common scale L = lcm over T of den(c_T) * |T|.
+
+    Returns (alice subsets, Bob's measurements, terms, L, constant), each
+    term (setting pair, outcome index pair, integer coefficient).
     """
     subsets, const = correlator_decomposition(s, witness)
     if not subsets:
         raise SicVerificationFailed("witness has no correlator content")
-
     alice_settings = sorted(subsets)           # tuples of measurement indices
     bob_meas = sorted({m for t in subsets for m in t})
+    bob_setting = {m: len(alice_settings) + k for k, m in enumerate(bob_meas)}
+    scale = math.lcm(*(subsets[t].denominator * len(t) for t in alice_settings))
+    terms = []
+    for ti, t in enumerate(alice_settings):
+        c, k = subsets[t], len(t)
+        w = c.numerator * (scale // (c.denominator * k))
+        for pos, j in enumerate(t):
+            pair = (ti, bob_setting[j])
+            own = 1 << (k - 1 - pos)  # the bit of j's outcome (set: -1)
+            for a in range(1 << k):
+                v = -w if (a & ~own).bit_count() & 1 else w
+                terms.append((pair, (a, 0), v))
+                terms.append((pair, (a, 1), -v))
+    return alice_settings, bob_meas, terms, scale, const
+
+
+def _lift_once(s, witness, budget):
+    """The bipartite Bell scenario of one witness's lift (_lift_terms) and
+    its expression at the exact local bound: one elimination of the
+    integer terms gives the bound, and the expression is built from the
+    same terms. Returns (scenario, inequality, constant)."""
+    alice_settings, bob_meas, terms, scale, const = _lift_terms(s, witness)
     alice_ids = ["A(" + "&".join(s.measurements[m] for m in t) + ")"
                  for t in alice_settings]
     bob_ids = ["B(" + s.measurements[m] + ")" for m in bob_meas]
-
-    def joint_label(asg):
-        return "".join("+" if o == 1 else "-" for o in asg)
-
     alice_outcomes = [
-        tuple(joint_label(asg) for asg in itertools.product(*([(1, -1)] * len(t))))
+        tuple("".join("+" if o == 1 else "-" for o in asg)
+              for asg in itertools.product((1, -1), repeat=len(t)))
         for t in alice_settings
     ]
     n_a = len(alice_settings)
     edges = [(i, n_a + j) for i in range(n_a) for j in range(len(bob_meas))]
-    bell = build_scenario(
-        alice_ids + bob_ids,
-        list(alice_outcomes) + [(1, -1)] * len(bob_meas),
-        edges,
-    )
-    bob_index = {m: n_a + k for k, m in enumerate(bob_meas)}
+    bell = build_scenario(alice_ids + bob_ids,
+                          alice_outcomes + [(1, -1)] * len(bob_meas), edges)
+    bound = _scaled_maximum(bell.radices, terms, scale, budget)
+    out = bell.outcomes
+    labelled = tuple(((a, b), (out[a][x], out[b][y]), Fraction(v, scale))
+                     for (a, b), (x, y), v in terms)
+    return bell, Inequality(labelled, bound, "LR", "sic-lift"), const
 
-    terms = []
-    for ti, t in enumerate(alice_settings):
-        c = subsets[t]
-        k = len(t)
-        for pos, j in enumerate(t):
-            for asg in itertools.product(*([(1, -1)] * k)):
-                partial = 1
-                for p, o in enumerate(asg):
-                    if p != pos:
-                        partial *= o
-                for b in (1, -1):
-                    coef = Fraction(c, k) * partial * b
-                    terms.append((
-                        (ti, bob_index[j]),
-                        (joint_label(asg), b),
-                        coef,
-                    ))
-    probe = Inequality(tuple(terms), 0, "LR", "sic-lift")
-    return bell, replace(probe, bound=classical_bound(probe, bell, budget=budget)), const
+
+def _lift_bound(s, witness, budget):
+    """(local bound, constant) of one witness's lift, from its integer
+    terms alone: no scenario and no expression is built."""
+    alice_settings, bob_meas, terms, scale, const = _lift_terms(s, witness)
+    radices = [1 << len(t) for t in alice_settings] + [2] * len(bob_meas)
+    return _scaled_maximum(radices, terms, scale, budget), const
 
 
 def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
@@ -480,6 +499,8 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
     rest is lifted on the same measurements (only names, outcomes and terms
     are read, so m simply gets no setting), and the residual violation
     Tr(W_m)/d minus the dropped constant minus the local bound is reported.
+    A removal's lift is bounded from its integer terms alone: no scenario
+    or expression is built for it.
     """
     validate_model(sic_set.model(), sic_set.scenario)
     rep = verify_sic(sic_set, sample_states=0)
@@ -497,10 +518,10 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
         if not witness.terms:
             removals.append((s.measurements[m], 0.0))
             continue
-        _, lifted_m, const_m = _lift_once(s, witness, budget)
+        bound_m, const_m = _lift_bound(s, witness, budget)
         q_m = float(np.trace(w).real)
         removals.append((s.measurements[m],
-                         q_m / sic_set.dim - float(const_m) - float(lifted_m.bound)))
+                         q_m / sic_set.dim - float(const_m) - float(bound_m)))
 
     return SicBellReport(
         scenario=bell,

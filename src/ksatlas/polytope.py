@@ -5,10 +5,15 @@ verdicts (classical bounds, membership, facet tightness) are exact, and
 each fact has one path. The polytope's dimension is a closed form read
 from the scenario (polytope_dimension). An inequality has one integer
 form, one table per scope from _kernels.scope_tables, maximized by
-variable elimination: classical_bound reads the maximum, which also
-bounds membership_test's separating witness, and tightness_test reads
-the maximum and the maximizers, whose rows alone the exact rank sees.
-Only membership builds every vertex (enumerate_vertices).
+variable elimination. One pass over the terms (_int_terms) both checks
+them, as check_inequality does, and writes them as integer index terms
+over the common denominator, so the Fraction terms are read once.
+classical_bound reads the maximum, which also bounds membership_test's
+separating witness, and tightness_test reads the maximum and the
+maximizers, whose rows alone the exact rank sees. Terms built integer
+and valid, as the SIC lift builds them, go to the elimination directly
+(_scaled_maximum). Only membership builds every vertex
+(enumerate_vertices).
 
 Coordinates follow the scenario's cached coordinate form: a vertex or
 behavior is read in `Scenario.grids` order, and the coordinate count D
@@ -26,13 +31,17 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import best_assignment, maximizers
-from .errors import BudgetExceeded, InvalidTolerance, NoDisturbanceViolated
+from .errors import (
+    BudgetExceeded,
+    InvalidTolerance,
+    NoDisturbanceViolated,
+    ScenarioMismatch,
+)
 from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
     Inequality,
     Scenario,
-    check_inequality,
     frac,
     frac_str,
     validate_behavior,
@@ -144,27 +153,48 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
 
 
 def _int_terms(scenario, inequality):
-    """Terms with outcome labels replaced by indices and coefficients
-    scaled to integers; returns (terms, denominator)."""
+    """The inequality's integer form, checked in the same pass: terms with
+    outcome labels replaced by indices and coefficients scaled to
+    integers; returns (terms, denominator).
+
+    Each term is checked as check_inequality checks it, in the same order
+    and with the same ScenarioMismatch messages: assignment length, term
+    context inside a maximal context, then each outcome label.
+    """
     label_index = scenario.label_index
-    denom = math.lcm(*(coef.denominator for _, _, coef in inequality.terms))
-    terms = []
+    ctx_sets = [set(c) for c in scenario.contexts]
+    maps = {}  # term context found inside a maximal context -> its label maps
+    terms, dens = [], set()
     for members, asg, coef in inequality.terms:
-        terms.append((
-            tuple(members),
-            tuple(label_index[m][o] for m, o in zip(members, asg)),
-            coef.numerator * (denom // coef.denominator),
-        ))
-    return terms, denom
+        if len(members) != len(asg):
+            raise ScenarioMismatch(f"term {members} has mismatched assignment {asg}")
+        index = maps.get(members)
+        if index is None:
+            if not any(map(set(members).issubset, ctx_sets)):
+                raise ScenarioMismatch(
+                    f"term context {members} not inside any maximal context")
+            index = maps[members] = [label_index[m] for m in members]
+        try:
+            outs = tuple([labels[o] for labels, o in zip(index, asg)])
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            m, o = next((m, o) for m, o in zip(members, asg)
+                        if o not in scenario.outcomes[m])
+            raise ScenarioMismatch(f"outcome {o!r} invalid for measurement index {m}") from None
+        terms.append((members, outs, coef))
+        dens.add(coef.denominator)
+    denom = math.lcm(*dens)
+    return [(m, o, c.numerator * (denom // c.denominator)) for m, o, c in terms], denom
 
 
 def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
     """Exact maximum of the inequality over deterministic assignments.
 
-    One path: the coefficients are scaled to integers over their common
-    denominator and maximized by variable elimination, on int64 tables or,
-    when the scaled coefficients are too wide for those, on Python ints.
-    budget caps the entries of the largest elimination table.
+    One path: one pass checks the terms (ScenarioMismatch, as
+    check_inequality raises it) and scales the coefficients to integers
+    over their common denominator, and variable elimination maximizes
+    them, on int64 tables or, when the scaled coefficients are too wide
+    for those, on Python ints. budget caps the entries of the largest
+    elimination table.
     """
     return _eliminate(inequality, scenario, budget)[0]
 
@@ -172,10 +202,16 @@ def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
 def _eliminate(inequality, scenario, budget):
     """(maximum, elimination) of the inequality's integer form; the
     elimination record gives the maximizers."""
-    check_inequality(scenario, inequality)
     terms, denom = _int_terms(scenario, inequality)
     best, elimination = best_assignment(scenario.radices, terms, budget)
     return Fraction(best, denom), elimination
+
+
+def _scaled_maximum(radices, terms, scale, budget):
+    """Fraction(maximum, scale) of integer index terms (best_assignment's
+    terms) that were built valid, as the SIC lift builds them: no check
+    runs."""
+    return Fraction(best_assignment(radices, terms, budget)[0], scale)
 
 
 def polytope_dimension(scenario):
@@ -310,13 +346,13 @@ def _membership_lp(coords, coords_b, tol):
 def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     """Exact membership in the convex hull of deterministic behaviors.
 
-    Rational behaviors are decided exactly (tol defaults to 0); float
-    behaviors are read as the exact rationals their entries hold and
-    tested with a slack of tol (default 1e-9, read as the exact rational
-    it holds) around each coordinate, which makes the verdict approximate
-    in the documented sense. One validate_behavior call checks the
-    behavior, at tol 0 when it is rational and at tol when it is float,
-    and the right-hand side is the integer form that call checked
+    Rational behaviors are decided exactly at the default tol 0; float
+    behaviors are read as the exact rationals their entries hold, with tol
+    defaulting to 1e-9. A tol > 0, read as the exact rational it holds,
+    allows a slack of tol around each coordinate, which makes the verdict
+    approximate in the documented sense. One validate_behavior call checks
+    the behavior at the same tol, so membership accepts what validation
+    accepts, and the right-hand side is the integer form that call checked
     (ValidationReport.tables), so each behavior is read once.
     Non-members come with an exact separating inequality respected by
     every vertex and strictly violated by every behavior within tol of
@@ -327,7 +363,7 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
         raise InvalidTolerance("tol must be finite and >= 0")
     exact = behavior.mode == "rational"
     tol = frac((0 if exact else 1e-9) if tol is None else tol)
-    report = validate_behavior(scenario, behavior, tol=0 if exact else tol)
+    report = validate_behavior(scenario, behavior, tol=tol)
     if not report.ok:
         raise NoDisturbanceViolated(
             "behavior fails normalization/no-disturbance; not a polytope question")

@@ -214,7 +214,11 @@ class Behavior:
 
     @classmethod
     def from_json(cls, scenario, data):
+        """Tables keyed by maximal context; a key that names no maximal
+        context, or the same context as an earlier key, raises
+        ScenarioMismatch."""
         mode = data["mode"]
+        contexts = set(scenario.contexts)
         tables = {}
         for ckey, entries in data["tables"].items():
             named = [scenario.index_of(x) for x in ckey.split(",")]
@@ -222,6 +226,11 @@ class Behavior:
             # named[k]; the table is stored in measurement-index order
             order = sorted(range(len(named)), key=named.__getitem__)
             members = tuple(named[k] for k in order)
+            if members not in contexts:
+                raise ScenarioMismatch(f"table key {ckey!r} is not a maximal context")
+            if members in tables:
+                raise ScenarioMismatch(
+                    f"table key {ckey!r} names the context of an earlier key")
             label_map = [
                 {str(o): o for o in scenario.outcomes[named[k]]} for k in order
             ]

@@ -365,6 +365,99 @@ def test_lift_rejects_noncommuting_compatible_effects(pm):
         sic_to_bell(dataclasses.replace(pm, effects=effects))
 
 
+def reference_lift(s, witness, budget=ksatlas.polytope.DEFAULT_BUDGET):
+    """Reference: the lift with Fraction terms over outcome labels, bounded
+    by classical_bound on the lifted scenario. Returns (scenario,
+    inequality at its local bound, constant)."""
+    subsets, const = correlator_decomposition(s, witness)
+    alice_settings = sorted(subsets)
+    bob_meas = sorted({m for t in subsets for m in t})
+    alice_ids = ["A(" + "&".join(s.measurements[m] for m in t) + ")"
+                 for t in alice_settings]
+    bob_ids = ["B(" + s.measurements[m] + ")" for m in bob_meas]
+
+    def joint_label(asg):
+        return "".join("+" if o == 1 else "-" for o in asg)
+
+    alice_outcomes = [
+        tuple(joint_label(asg) for asg in itertools.product(*([(1, -1)] * len(t))))
+        for t in alice_settings
+    ]
+    n_a = len(alice_settings)
+    edges = [(i, n_a + j) for i in range(n_a) for j in range(len(bob_meas))]
+    bell = build_scenario(alice_ids + bob_ids,
+                          list(alice_outcomes) + [(1, -1)] * len(bob_meas), edges)
+    bob_index = {m: n_a + k for k, m in enumerate(bob_meas)}
+    terms = []
+    for ti, t in enumerate(alice_settings):
+        c = subsets[t]
+        k = len(t)
+        for pos, j in enumerate(t):
+            for asg in itertools.product(*([(1, -1)] * k)):
+                partial = 1
+                for p, o in enumerate(asg):
+                    if p != pos:
+                        partial *= o
+                for b in (1, -1):
+                    terms.append(((ti, bob_index[j]), (joint_label(asg), b),
+                                  Fraction(c, k) * partial * b))
+    probe = Inequality(tuple(terms), 0, "LR", "sic-lift")
+    return bell, dataclasses.replace(
+        probe, bound=classical_bound(probe, bell, budget=budget)), const
+
+
+def reference_removals(sic, budget=ksatlas.polytope.DEFAULT_BUDGET):
+    """Reference removal violations: each embedded measurement's reduced
+    witness lifted by reference_lift."""
+    s = sic.scenario
+    out = []
+    for m in sic.embedded or range(len(s.measurements)):
+        witness, w = ksatlas.quantum._drop_measurement(sic, m)
+        if not witness.terms:
+            out.append((s.measurements[m], 0.0))
+            continue
+        _, lifted, const = reference_lift(s, witness, budget)
+        q = float(np.trace(w).real)
+        out.append((s.measurements[m], q / sic.dim - float(const) - float(lifted.bound)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("embedded", [None, *((m,) for m in range(9))])
+def test_integer_lift_equals_the_fraction_reference(pm, embedded):
+    # the integer lift gives the reference's scenario, expression (terms in
+    # order, bound, kind, label), constant and removal violations, for the
+    # full set and for each single embedded removal
+    sic = pm if embedded is None else dataclasses.replace(pm, embedded=embedded)
+    rep = sic_to_bell(sic)
+    bell, lifted, const = reference_lift(pm.scenario, pm.witness)
+    assert rep.scenario == bell and rep.scenario.to_json() == bell.to_json()
+    assert rep.inequality == lifted
+    assert rep.constant == const
+    assert rep.removal_violations == reference_removals(sic)
+    assert len(rep.removal_violations) == (9 if embedded is None else 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3, 5])),
+                min_size=6, max_size=6),
+       st.integers(0, 8))
+def test_integer_lift_equals_the_reference_on_rescaled_witnesses(pm, coefs, m):
+    # other coefficients and denominators per correlator: the shared scale
+    # lcm(den(c_T) * |T|) still gives the reference's terms and bound, and a
+    # witness with a removed measurement still its bound alone
+    correlators = [(ctx, Fraction(a, b)) for ctx, (a, b) in zip(pm.scenario.contexts, coefs)]
+    witness = correlator_inequality(pm.scenario, correlators, 0)
+    if not any(a for a, _ in coefs):
+        return
+    bell, lifted, const = ksatlas.bridge._lift_once(pm.scenario, witness, 1 << 24)
+    assert (bell, lifted, const) == reference_lift(pm.scenario, witness)
+    reduced = dataclasses.replace(witness, terms=tuple(
+        t for t in witness.terms if m not in t[0]))
+    if reduced.terms and correlator_decomposition(pm.scenario, reduced)[0]:
+        _, ref, ref_const = reference_lift(pm.scenario, reduced)
+        assert ksatlas.bridge._lift_bound(pm.scenario, reduced, 1 << 24) == (ref.bound, ref_const)
+
+
 # -- work done ---------------------------------------------------------------------
 
 def count_calls(monkeypatch, targets):

@@ -300,6 +300,47 @@ def test_validate_and_member_agree_at_tol_zero(workdir, capsys, tmp_path):
     assert code == 0 and doc["result"]["member"]
 
 
+@pytest.mark.parametrize("command", ["validate", "member"])
+@pytest.mark.parametrize("key,table", [
+    ("A1,A2", {"1,1": "1"}),
+    ("B1,A1", {"1,1": "1", "1,-1": "0", "-1,1": "0", "-1,-1": "0"}),
+])
+def test_behavior_with_an_extra_table_exits_2(workdir, capsys, tmp_path, command, key, table):
+    # a table on an incompatible pair, or a second table on a context, is
+    # invalid input; before, validation ignored the first and the second
+    # replaced the uniform table it followed
+    from ksatlas.scenario import Scenario, uniform_behavior
+    scenario = Scenario.from_json(json.loads(
+        (tmp_path / "chsh.scenario.json").read_text()))
+    doc = uniform_behavior(scenario).to_json()
+    doc["tables"][key] = table
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "chsh.scenario.json", str(path)]) == 2
+    assert f"table key {key!r}" in capsys.readouterr().err
+
+
+def test_validate_and_member_agree_on_a_rational_file_at_tol(workdir, capsys, tmp_path):
+    # CHSH uniform with 10^-9 moved within the (A1,B1) table: B1's
+    # marginals differ by 10^-9, which --tol 1e-6 allows in both commands
+    # and the default (0 for rational files) refuses in both
+    from ksatlas.scenario import Scenario, uniform_behavior
+    scenario = Scenario.from_json(json.loads(
+        (tmp_path / "chsh.scenario.json").read_text()))
+    doc = uniform_behavior(scenario).to_json()
+    doc["tables"]["A1,B1"].update({"1,1": "250000001/1000000000",
+                                   "1,-1": "249999999/1000000000"})
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", "chsh.scenario.json", str(path), "--tol", "1e-6")
+    assert code == 0 and out["result"]["ok"]
+    code, out = run(capsys, "member", "chsh.scenario.json", str(path), "--tol", "1e-6")
+    assert code == 0 and out["result"]["member"]
+    for command in ("validate", "member"):
+        assert main([command, "chsh.scenario.json", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_bound_refuses_a_truncated_term(workdir, capsys, tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"terms": [

@@ -11,7 +11,7 @@ from conftest import fraction_simplex
 from ksatlas import polytope
 from ksatlas import scenario as scenario_module
 from ksatlas.bridge import n_cycle, n_cycle_quantum_model
-from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated
+from ksatlas.errors import BudgetExceeded, NoDisturbanceViolated, ScenarioMismatch
 from ksatlas.polytope import (
     DEFAULT_BUDGET,
     _affine_rank,
@@ -28,6 +28,7 @@ from ksatlas.scenario import (
     Behavior,
     Inequality,
     build_scenario,
+    check_inequality,
     correlator_inequality,
     deterministic_behavior,
     evaluate,
@@ -277,6 +278,84 @@ def test_fractional_coefficients_stay_exact(hexagon):
 
 def test_pearle_bell_bound(pearle):
     assert classical_bound(pearle.gamma_prime, pearle.bell_scenario) == 4
+
+
+@st.composite
+def bound_instances(draw):
+    """A scenario of up to five measurements with 2 to 4 outcomes, and
+    terms inside its contexts: coefficients over mixed denominators, some
+    past 2**62 (the object tables), terms naming one measurement twice
+    with equal or with different outcomes, and cancelling pairs."""
+    counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    n = len(counts)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = build_scenario([f"M{i}" for i in range(n)], counts, edges)
+    coef = st.one_of(
+        st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 7, 12])),
+        st.builds(lambda k, d: F((k << 62) + d, 3), st.integers(-3, 3), st.integers(-5, 5)),
+    )
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        ctx = draw(st.sampled_from(s.contexts))
+        members = draw(st.lists(st.sampled_from(ctx), min_size=1, max_size=3))
+        if draw(st.booleans()):  # repeats keep one outcome per measurement
+            picked = {m: draw(st.sampled_from(s.outcomes[m])) for m in members}
+            asg = [picked[m] for m in members]
+        else:
+            asg = [draw(st.sampled_from(s.outcomes[m])) for m in members]
+        c = draw(coef)
+        terms.append((tuple(members), tuple(asg), c))
+        if draw(st.booleans()):  # the same event in reverse order cancels it
+            terms.append((tuple(members[::-1]), tuple(asg[::-1]), -c))
+    return s, Inequality(tuple(terms), 0)
+
+
+def brute_bound(s, ineq):
+    """Oracle: the largest value over every assignment of outcome labels;
+    a term counts where each of its (measurement, label) pairs holds."""
+    return max(
+        sum((c for members, asg, c in ineq.terms
+             if all(labels[m] == o for m, o in zip(members, asg))), F(0))
+        for labels in itertools.product(*s.outcomes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_instances())
+def test_classical_bound_matches_brute_force(instance):
+    s, ineq = instance
+    assert classical_bound(ineq, s) == brute_bound(s, ineq)
+
+
+def outcome_of(f):
+    try:
+        f()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_instances(), st.data())
+def test_classical_bound_rejects_what_check_inequality_rejects(instance, data):
+    # one malformed term among valid ones: the one validating pass raises
+    # what check_inequality raises, type and message
+    s, ineq = instance
+    n = len(s.measurements)
+    outside = [p for p in itertools.combinations(range(n), 2) if not s.compat.has_edge(*p)]
+    bad = data.draw(st.sampled_from([
+        ((0,), (s.outcomes[0][0], s.outcomes[0][0]), F(1)),       # length mismatch
+        ((n,), (1,), F(1)),                                       # no such measurement
+        ((0,), ("x",), F(1)),                                     # not an outcome label
+        ((0,), ([1],), F(1)),                                     # an unhashable label
+        *([(outside[0], (s.outcomes[outside[0][0]][0], s.outcomes[outside[0][1]][0]), F(1))]
+          if outside else []),                                    # incompatible pair
+    ]))
+    at = data.draw(st.integers(0, len(ineq.terms)))
+    broken = Inequality(ineq.terms[:at] + (bad,) + ineq.terms[at:], 0)
+    expected = outcome_of(lambda: check_inequality(s, broken))
+    assert expected is not None and expected[0] is ScenarioMismatch
+    assert outcome_of(lambda: classical_bound(broken, s)) == expected
 
 
 # -- tightness ---------------------------------------------------------------------
@@ -545,6 +624,30 @@ def test_float_tol_zero_validates_exactly(chsh):
         with pytest.raises(NoDisturbanceViolated):
             membership_test(beh, scenario, tol=tol)
     assert membership_test(beh, scenario).member
+
+
+def test_rational_membership_validates_at_the_given_tol(chsh):
+    # CHSH uniform with 10^-9 moved from P(1,-1|A1,B1) to P(1,1|A1,B1): B1's
+    # marginals differ by 10^-9, so membership refuses the behavior at tol 0,
+    # as validation does, and at tol 1e-6 both accept it and the slack
+    # system holds it
+    scenario, _ = chsh
+    beh = uniform_behavior(scenario)
+    tab = beh.tables[(0, 2)]
+    tab[(1, 1)] += F(1, 10**9)
+    tab[(1, -1)] -= F(1, 10**9)
+    assert not validate_behavior(scenario, beh).ok
+    with pytest.raises(NoDisturbanceViolated):
+        membership_test(beh, scenario)
+    assert validate_behavior(scenario, beh, tol=1e-6).ok
+    assert membership_test(beh, scenario, tol=1e-6).member
+    # the PR box is far outside the polytope: the slack of tol still separates it
+    pr = Behavior(scenario, "rational", {
+        ctx: {(a, b): F(1, 2) if (a == b) != (ctx == (1, 3)) else F(0)
+              for a, b in itertools.product((1, -1), repeat=2)}
+        for ctx in scenario.contexts})
+    res = membership_test(pr, scenario, tol=1e-6)
+    assert not res.member and res.witness_value > res.witness.bound
 
 
 def test_membership_reads_the_behavior_once(hexagon, chsh):

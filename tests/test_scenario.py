@@ -313,6 +313,24 @@ def test_behavior_context_key_in_any_order(chsh):
         Behavior.from_json(s, {"mode": "rational", "tables": {"B1,A1": {"1,1,1": "1"}}})
 
 
+@pytest.mark.parametrize("key,table,message", [
+    ("A1,A2", {"1,1": "1"}, "is not a maximal context"),     # an incompatible pair
+    ("A1,A1", {"1,1": "1"}, "is not a maximal context"),     # one measurement twice
+    ("A1", {"1": "1", "-1": "0"}, "is not a maximal context"),  # inside a context
+    ("B1,A1", {"1,1": "1", "1,-1": "0", "-1,1": "0", "-1,-1": "0"},
+     "names the context of an earlier key"),
+])
+def test_behavior_tables_are_distinct_maximal_contexts(chsh, key, table, message):
+    # an extra table is refused, not stored beside (or over) the uniform
+    # tables where validation would never read it
+    s, _ = chsh
+    data = uniform_behavior(s).to_json()
+    assert Behavior.from_json(s, data).tables == uniform_behavior(s).tables
+    data["tables"][key] = table
+    with pytest.raises(ScenarioMismatch, match=message):
+        Behavior.from_json(s, data)
+
+
 @pytest.mark.parametrize("context,assignment", [(["A1", "B1"], [1]), (["A1"], [1, -1])])
 def test_inequality_term_lengths_must_agree(chsh, context, assignment):
     s, _ = chsh
