@@ -18,14 +18,15 @@ party first.
 
 scope_tables is the one integer form of an inequality in the package.
 It reads integer index terms, already checked by whoever built them
-(polytope._int_terms, the SIC lift), in one pass that sums each scope's
-cells in a dict, and then fills each scope's table once. Its tables are
-int64 while the absolute coefficients sum below 2**62, which bounds
-every entry and every sum of entries, and object arrays of Python ints
-otherwise, so every result is exact. One elimination of it answers the
-classical bound (best_assignment), which is also the bound of a
-membership test's separating witness and of the SIC lift, and a facet
-test's bound and face (polytope.tightness_test reads maximizers).
+(check_inequality through polytope._int_terms, the SIC lift), in one
+pass that sums each scope's cells in a dict, and then fills each
+scope's table once. Its tables are int64 while the absolute
+coefficients sum below 2**62, which bounds every entry and every sum
+of entries, and object arrays of Python ints otherwise, so every
+result is exact. One elimination of it answers the classical bound
+(best_assignment), which is also the bound of a membership test's
+separating witness and of the SIC lift, and a facet test's bound and
+face (polytope.tightness_test reads maximizers).
 """
 
 from __future__ import annotations

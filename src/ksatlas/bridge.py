@@ -423,11 +423,13 @@ def _lift_terms(s, witness):
     separately). Alice's setting k is the k-th subset in sorted order, with
     the 2^|T| joint outcomes in itertools.product order over (+1, -1), and
     Bob's settings follow hers, one per measurement in a subset, outcomes
-    (+1, -1). Every term's coefficient c_T/|T| * (+-1) is an integer over
-    the common scale L = lcm over T of den(c_T) * |T|.
+    (+1, -1); the radices are read from that encoding. Every term's
+    coefficient c_T/|T| * (+-1) is an integer over the common scale
+    L = lcm over T of den(c_T) * |T|.
 
-    Returns (alice subsets, Bob's measurements, terms, L, constant), each
-    term (setting pair, outcome index pair, integer coefficient).
+    Returns (alice subsets, Bob's measurements, radices, terms, L,
+    constant), each term (setting pair, outcome index pair, integer
+    coefficient).
     """
     subsets, const = correlator_decomposition(s, witness)
     if not subsets:
@@ -435,6 +437,7 @@ def _lift_terms(s, witness):
     alice_settings = sorted(subsets)           # tuples of measurement indices
     bob_meas = sorted({m for t in subsets for m in t})
     bob_setting = {m: len(alice_settings) + k for k, m in enumerate(bob_meas)}
+    radices = [1 << len(t) for t in alice_settings] + [2] * len(bob_meas)
     scale = math.lcm(*(subsets[t].denominator * len(t) for t in alice_settings))
     terms = []
     for ti, t in enumerate(alice_settings):
@@ -447,15 +450,17 @@ def _lift_terms(s, witness):
                 v = -w if (a & ~own).bit_count() & 1 else w
                 terms.append((pair, (a, 0), v))
                 terms.append((pair, (a, 1), -v))
-    return alice_settings, bob_meas, terms, scale, const
+    return alice_settings, bob_meas, radices, terms, scale, const
 
 
 def _lift_once(s, witness, budget):
     """The bipartite Bell scenario of one witness's lift (_lift_terms) and
     its expression at the exact local bound: one elimination of the
-    integer terms gives the bound, and the expression is built from the
-    same terms. Returns (scenario, inequality, constant)."""
-    alice_settings, bob_meas, terms, scale, const = _lift_terms(s, witness)
+    integer terms gives the bound, and the scenario's outcome labels write
+    the same terms as the expression. Returns (scenario, inequality,
+    constant)."""
+    alice_settings, bob_meas, radices, terms, scale, const = _lift_terms(s, witness)
+    bound = _scaled_maximum(radices, terms, scale, budget)
     alice_ids = ["A(" + "&".join(s.measurements[m] for m in t) + ")"
                  for t in alice_settings]
     bob_ids = ["B(" + s.measurements[m] + ")" for m in bob_meas]
@@ -468,7 +473,6 @@ def _lift_once(s, witness, budget):
     edges = [(i, n_a + j) for i in range(n_a) for j in range(len(bob_meas))]
     bell = build_scenario(alice_ids + bob_ids,
                           alice_outcomes + [(1, -1)] * len(bob_meas), edges)
-    bound = _scaled_maximum(bell.radices, terms, scale, budget)
     out = bell.outcomes
     labelled = tuple(((a, b), (out[a][x], out[b][y]), Fraction(v, scale))
                      for (a, b), (x, y), v in terms)
@@ -478,8 +482,7 @@ def _lift_once(s, witness, budget):
 def _lift_bound(s, witness, budget):
     """(local bound, constant) of one witness's lift, from its integer
     terms alone: no scenario and no expression is built."""
-    alice_settings, bob_meas, terms, scale, const = _lift_terms(s, witness)
-    radices = [1 << len(t) for t in alice_settings] + [2] * len(bob_meas)
+    _, _, radices, terms, scale, const = _lift_terms(s, witness)
     return _scaled_maximum(radices, terms, scale, budget), const
 
 

@@ -5,9 +5,9 @@ verdicts (classical bounds, membership, facet tightness) are exact, and
 each fact has one path. The polytope's dimension is a closed form read
 from the scenario (polytope_dimension). An inequality has one integer
 form, one table per scope from _kernels.scope_tables, maximized by
-variable elimination. One pass over the terms (_int_terms) both checks
-them, as check_inequality does, and writes them as integer index terms
-over the common denominator, so the Fraction terms are read once.
+variable elimination. One pass over the terms (check_inequality, read
+by _int_terms) both checks them and writes them with outcome indices,
+and _int_terms scales the coefficients over their common denominator.
 classical_bound reads the maximum, which also bounds membership_test's
 separating witness, and tightness_test reads the maximum and the
 maximizers, whose rows alone the exact rank sees. Terms built integer
@@ -31,17 +31,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import best_assignment, maximizers
-from .errors import (
-    BudgetExceeded,
-    InvalidTolerance,
-    NoDisturbanceViolated,
-    ScenarioMismatch,
-)
+from .errors import BudgetExceeded, InvalidTolerance, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
     Inequality,
     Scenario,
+    check_inequality,
     frac,
     frac_str,
     validate_behavior,
@@ -153,46 +149,21 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
 
 
 def _int_terms(scenario, inequality):
-    """The inequality's integer form, checked in the same pass: terms with
-    outcome labels replaced by indices and coefficients scaled to
-    integers; returns (terms, denominator).
-
-    Each term is checked as check_inequality checks it, in the same order
-    and with the same ScenarioMismatch messages: assignment length, term
-    context inside a maximal context, then each outcome label.
-    """
-    label_index = scenario.label_index
-    ctx_sets = [set(c) for c in scenario.contexts]
-    maps = {}  # term context found inside a maximal context -> its label maps
-    terms, dens = [], set()
-    for members, asg, coef in inequality.terms:
-        if len(members) != len(asg):
-            raise ScenarioMismatch(f"term {members} has mismatched assignment {asg}")
-        index = maps.get(members)
-        if index is None:
-            if not any(map(set(members).issubset, ctx_sets)):
-                raise ScenarioMismatch(
-                    f"term context {members} not inside any maximal context")
-            index = maps[members] = [label_index[m] for m in members]
-        try:
-            outs = tuple([labels[o] for labels, o in zip(index, asg)])
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            m, o = next((m, o) for m, o in zip(members, asg)
-                        if o not in scenario.outcomes[m])
-            raise ScenarioMismatch(f"outcome {o!r} invalid for measurement index {m}") from None
-        terms.append((members, outs, coef))
-        dens.add(coef.denominator)
-    denom = math.lcm(*dens)
+    """The inequality's integer form: check_inequality's label-index terms
+    (checked in that one pass) with coefficients scaled to integers over
+    their common denominator; returns (terms, denominator)."""
+    terms = check_inequality(scenario, inequality)
+    denom = math.lcm(*{c.denominator for _, _, c in terms})
     return [(m, o, c.numerator * (denom // c.denominator)) for m, o, c in terms], denom
 
 
 def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
     """Exact maximum of the inequality over deterministic assignments.
 
-    One path: one pass checks the terms (ScenarioMismatch, as
-    check_inequality raises it) and scales the coefficients to integers
-    over their common denominator, and variable elimination maximizes
-    them, on int64 tables or, when the scaled coefficients are too wide
+    One path: check_inequality's one pass checks the terms
+    (ScenarioMismatch) and indexes their outcomes, the coefficients are
+    scaled to integers over their common denominator, and variable
+    elimination maximizes them, on int64 tables or, when the scaled coefficients are too wide
     for those, on Python ints. budget caps the entries of the largest
     elimination table.
     """

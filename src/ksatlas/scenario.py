@@ -306,19 +306,33 @@ class Inequality:
 
 def check_inequality(scenario, inequality):
     """Every term context must sit inside some maximal context and use
-    valid outcome labels."""
+    valid outcome labels; raises ScenarioMismatch at the first term that
+    does not (assignment length, then context, then each label).
+
+    The same pass reads each label through `Scenario.label_index` and
+    returns the terms in label-index form, a list of (members, outcome
+    indices, coef); callers that only check ignore it.
+    """
+    label_index = scenario.label_index
     ctx_sets = [set(c) for c in scenario.contexts]
-    inside = set()  # term contexts already found inside a maximal context
-    for members, asg, _ in inequality.terms:
+    maps = {}  # term context found inside a maximal context -> its label maps
+    terms = []
+    for members, asg, coef in inequality.terms:
         if len(members) != len(asg):
             raise ScenarioMismatch(f"term {members} has mismatched assignment {asg}")
-        if members not in inside:
-            if not any(set(members) <= c for c in ctx_sets):
+        index = maps.get(members)
+        if index is None:
+            if not any(map(set(members).issubset, ctx_sets)):
                 raise ScenarioMismatch(f"term context {members} not inside any maximal context")
-            inside.add(members)
-        for m, o in zip(members, asg):
-            if o not in scenario.outcomes[m]:
-                raise ScenarioMismatch(f"outcome {o!r} invalid for measurement index {m}")
+            index = maps[members] = [label_index[m] for m in members]
+        try:
+            outs = tuple([labels[o] for labels, o in zip(index, asg)])
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            m, o = next((m, o) for m, o in zip(members, asg)
+                        if o not in scenario.outcomes[m])
+            raise ScenarioMismatch(f"outcome {o!r} invalid for measurement index {m}") from None
+        terms.append((members, outs, coef))
+    return terms
 
 
 def correlator_inequality(scenario, correlators, bound, kind="NCHV", label=""):

@@ -338,8 +338,9 @@ def outcome_of(f):
 @settings(max_examples=100, deadline=None)
 @given(bound_instances(), st.data())
 def test_classical_bound_rejects_what_check_inequality_rejects(instance, data):
-    # one malformed term among valid ones: the one validating pass raises
-    # what check_inequality raises, type and message
+    # one malformed term among valid ones: classical_bound checks its terms
+    # in check_inequality's pass, so it raises the same type and message
+    # (an unhashable label included) before any table is built
     s, ineq = instance
     n = len(s.measurements)
     outside = [p for p in itertools.combinations(range(n), 2) if not s.compat.has_edge(*p)]
