@@ -17,16 +17,17 @@ decomposition of a Bell scenario is the case that eliminates the largest
 party first.
 
 scope_tables is the one integer form of an inequality in the package.
-It reads integer index terms, already checked by whoever built them
-(check_inequality through polytope._int_terms, the SIC lift), in one
-pass that sums each scope's cells in a dict, and then fills each
-scope's table once. Its tables are int64 while the absolute
-coefficients sum below 2**62, which bounds every entry and every sum
-of entries, and object arrays of Python ints otherwise, so every
-result is exact. One elimination of it answers the classical bound
-(best_assignment), which is also the bound of a membership test's
-separating witness and of the SIC lift, and a facet test's bound and
-face (polytope.tightness_test reads maximizers).
+It reads integer index terms on distinct measurements, already checked
+and made canonical by whoever built them (check_inequality through
+polytope._int_terms, the SIC lift), and handles no repeated measurement
+and no term that never fires. One pass sums each scope's cells in a
+dict, and then fills each scope's table once. Its tables are int64
+while the absolute coefficients sum below 2**62, which bounds every
+entry and every sum of entries, and object arrays of Python ints
+otherwise, so every result is exact. One elimination of it answers the
+classical bound (best_assignment), which is also the bound of a
+membership test's separating witness and of the SIC lift, and a facet
+test's bound and face (polytope.tightness_test reads maximizers).
 """
 
 from __future__ import annotations
@@ -45,43 +46,26 @@ INT64_LIMIT = 1 << 62
 __all__ = ["best_assignment", "maximizers", "scope_tables"]
 
 
-def term_event(members, outs):
-    """{measurement: outcome} of a term, or None when the term names a
-    measurement twice with different outcomes and so never fires."""
-    event = {}
-    if any(event.setdefault(m, o) != o for m, o in zip(members, outs)):
-        return None
-    return event
-
-
 def scope_tables(radices, terms):
     """{scope: table}: one table per scope (sorted measurement tuple),
     summing the integer coefficients of every term on that scope.
 
     terms: iterable of (measurement index tuple, outcome index tuple,
-    int coefficient). One pass sums each term into its scope's cell; terms
-    that never fire are skipped. Each table is then filled once, and those
-    that are zero everywhere are dropped. Tables are int64 while the
-    absolute coefficients sum below INT64_LIMIT, object arrays of Python
-    ints otherwise.
+    int coefficient), each naming distinct measurements, in any order.
+    One pass sums each term into its scope's cell. Each table is then
+    filled once, and those that are zero everywhere are dropped. Tables
+    are int64 while the absolute coefficients sum below INT64_LIMIT,
+    object arrays of Python ints otherwise.
     """
     width = 0
     cells = {}  # scope -> {row-major cell position: summed coefficient}
-    layouts = {}  # members -> (scope, strides) when no measurement repeats
+    layouts = {}  # members -> (scope, strides)
     for members, outs, coef in terms:
         width += abs(coef)
         layout = layouts.get(members)
         if layout is None:
             layout = layouts[members] = _layout(radices, members)
-        if layout is False:  # a measurement repeats: read the event
-            event = term_event(members, outs)
-            if event is None:
-                continue
-            scope = tuple(sorted(event))
-            strides = _layout(radices, scope)[1]
-            outs = [event[m] for m in scope]
-        else:
-            scope, strides = layout
+        scope, strides = layout
         pos = 0
         for o, stride in zip(outs, strides):
             pos += o * stride
@@ -103,12 +87,10 @@ def scope_tables(radices, terms):
 
 
 def _layout(radices, members):
-    """(scope, strides): the sorted scope of a term on members and the
-    stride, in that scope's row-major table, of each member's outcome;
-    False when a measurement repeats."""
+    """(scope, strides): the sorted scope of a term on distinct members
+    and the stride, in that scope's row-major table, of each member's
+    outcome."""
     scope = tuple(sorted(members))
-    if len(set(scope)) != len(scope):
-        return False
     stride, size = {}, 1
     for m in reversed(scope):
         stride[m] = size

@@ -41,14 +41,16 @@ def _count(flag, least):
 
 def _load(path, parse):
     """parse(JSON content of path); a missing, non-JSON or wrongly shaped
-    file raises ValidationError naming it."""
+    file, or one holding a zero denominator, raises ValidationError
+    naming it."""
     try:
         return parse(json.loads(Path(path).read_text()))
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            ZeroDivisionError) as exc:
         raise ValidationError(
             f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 

@@ -18,6 +18,7 @@ dual matrix plus its eigen-residual gives the upper end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -632,31 +633,32 @@ def contextuality_ratio(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
 def event_form(inequality, scenario):
     """Rewrite an inequality as nonnegative weights on event probabilities.
 
-    Terms are grouped by the referenced sub-context; each group is
-    completed to the full outcome grid of that sub-context and shifted by
-    its minimum (the grid sums to one, so the shift only moves the bound).
-    Returns (events, weights, bound) with events as (context, assignment)
-    pairs carrying strictly positive weights.
+    The terms are read in check_inequality's canonical form (checked, each
+    measurement once and in index order, outcome indices, never-firing
+    terms dropped), so one event has one form. Terms are grouped by their
+    scope; each group is completed to the full outcome grid of that scope
+    and shifted by its minimum (the grid sums to one, so the shift only
+    moves the bound). Returns (events, weights, bound) with events as
+    (scope, outcome indices) pairs carrying strictly positive weights.
     """
-    from .scenario import outcome_grid  # local import to avoid a cycle
+    from .scenario import check_inequality  # local import to avoid a cycle
 
     groups = {}
-    for ctx, assignment, coef in inequality.terms:
-        groups.setdefault(ctx, {})
-        groups[ctx][assignment] = groups[ctx].get(assignment, Fraction(0)) + coef
+    for scope, outs, coef in check_inequality(scenario, inequality):
+        group = groups.setdefault(scope, {})
+        group[outs] = group.get(outs, Fraction(0)) + coef
     events, weights = [], []
     bound = inequality.bound
-    for ctx in sorted(groups):
-        grid = outcome_grid(scenario, ctx)
-        dense = {asg: groups[ctx].get(asg, Fraction(0)) for asg in grid}
+    for scope in sorted(groups):
+        grid = itertools.product(*(range(scenario.radices[m]) for m in scope))
+        dense = {outs: groups[scope].get(outs, Fraction(0)) for outs in grid}
         low = min(dense.values())
         if low < 0:
             bound = bound - low
             dense = {a: c - low for a, c in dense.items()}
-        for asg in grid:
-            c = dense[asg]
+        for outs, c in dense.items():
             if c > 0:
-                events.append((ctx, asg))
+                events.append((scope, outs))
                 weights.append(c)
     return events, weights, bound
 

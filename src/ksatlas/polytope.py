@@ -6,8 +6,10 @@ each fact has one path. The polytope's dimension is a closed form read
 from the scenario (polytope_dimension). An inequality has one integer
 form, one table per scope from _kernels.scope_tables, maximized by
 variable elimination. One pass over the terms (check_inequality, read
-by _int_terms) both checks them and writes them with outcome indices,
-and _int_terms scales the coefficients over their common denominator.
+by _int_terms) both checks them and writes them in canonical form
+(each measurement once, in index order, outcome indices, terms that
+never fire dropped), and _int_terms scales the coefficients over their
+common denominator.
 classical_bound reads the maximum, which also bounds membership_test's
 separating witness, and tightness_test reads the maximum and the
 maximizers, whose rows alone the exact rank sees. Terms built integer
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import best_assignment, maximizers
-from .errors import BudgetExceeded, InvalidTolerance, NoDisturbanceViolated
+from .errors import BudgetExceeded, NoDisturbanceViolated
 from .ratlp import solve_feasibility
 from .scenario import (
     Behavior,
@@ -149,7 +151,7 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
 
 
 def _int_terms(scenario, inequality):
-    """The inequality's integer form: check_inequality's label-index terms
+    """The inequality's integer form: check_inequality's canonical terms
     (checked in that one pass) with coefficients scaled to integers over
     their common denominator; returns (terms, denominator)."""
     terms = check_inequality(scenario, inequality)
@@ -328,16 +330,13 @@ def membership_test(behavior, scenario, tol=None, budget=DEFAULT_BUDGET):
     Non-members come with an exact separating inequality respected by
     every vertex and strictly violated by every behavior within tol of
     the (rationalized) behavior. A negative or non-finite tol raises
-    InvalidTolerance.
+    InvalidTolerance in that validate_behavior call.
     """
-    if tol is not None and not 0 <= tol < math.inf:
-        raise InvalidTolerance("tol must be finite and >= 0")
-    exact = behavior.mode == "rational"
-    tol = frac((0 if exact else 1e-9) if tol is None else tol)
-    report = validate_behavior(scenario, behavior, tol=tol)
+    report = validate_behavior(scenario, behavior, tol=tol)  # raises InvalidTolerance
     if not report.ok:
         raise NoDisturbanceViolated(
             "behavior fails normalization/no-disturbance; not a polytope question")
+    tol = frac((0 if behavior.mode == "rational" else 1e-9) if tol is None else tol)
 
     desc = enumerate_vertices(scenario, budget=budget)
     den, nums = report.tables

@@ -32,6 +32,7 @@ from .scenario import (
     Inequality,
     Scenario,
     build_scenario,
+    check_inequality,
     correlator_decomposition,
     frac,
     frac_str,
@@ -563,14 +564,15 @@ def observable_effects(observable):
 
 def witness_operator(sic_set):
     """Operator form of the witness: sum of coef times the (commuting)
-    product of the effects selected by each term."""
+    product of the effects selected by each term, read in
+    check_inequality's canonical form (each measurement once, in index
+    order; a term that never fires adds nothing)."""
     d = sic_set.dim
-    label_index = sic_set.scenario.label_index
     w = np.zeros((d, d), dtype=complex)
-    for members, asg, coef in sic_set.witness.terms:
+    for members, outs, coef in check_inequality(sic_set.scenario, sic_set.witness):
         op = np.eye(d, dtype=complex)
-        for m, o in zip(members, asg):
-            op = op @ sic_set.effects[m][label_index[m][o]]
+        for m, o in zip(members, outs):
+            op = op @ sic_set.effects[m][o]
         w = w + float(coef) * op
     return herm(w)
 

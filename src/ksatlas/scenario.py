@@ -13,7 +13,13 @@ they hold, and the tables as integers over one common denominator
 (_integer_tables), the form membership also reads. Inequalities are
 linear functionals over event probabilities; correlator expressions are
 stored expanded into event terms so a single evaluation path serves
-both forms.
+both forms. check_inequality alone reads the terms as written: it
+checks them and gives each in one canonical form (its measurements
+sorted and each listed once, outcome indices, terms that never fire
+dropped), which every other reader reads: the classical bound, the
+correlator expansion (hence the seesaw and the SIC lift), the witness
+operator and the exclusivity graph's events. evaluate reads the labels
+as written, an independent check of that form.
 """
 
 from __future__ import annotations
@@ -309,29 +315,40 @@ def check_inequality(scenario, inequality):
     valid outcome labels; raises ScenarioMismatch at the first term that
     does not (assignment length, then context, then each label).
 
-    The same pass reads each label through `Scenario.label_index` and
-    returns the terms in label-index form, a list of (members, outcome
-    indices, coef); callers that only check ignore it.
+    The same pass writes each term in its canonical form, the one every
+    other reader of the terms reads: a list of (scope, outcome indices,
+    coef), the scope being the term's measurements sorted and each listed
+    once, the outcomes read through `Scenario.label_index`. A measurement
+    named twice with equal outcomes is kept once; a term that names one
+    with different outcomes never fires and is dropped, after its checks.
+    Callers that only check ignore the list.
     """
     label_index = scenario.label_index
     ctx_sets = [set(c) for c in scenario.contexts]
-    maps = {}  # term context found inside a maximal context -> its label maps
+    forms = {}  # term context inside a maximal context -> (label maps, scope)
     terms = []
     for members, asg, coef in inequality.terms:
         if len(members) != len(asg):
             raise ScenarioMismatch(f"term {members} has mismatched assignment {asg}")
-        index = maps.get(members)
-        if index is None:
+        form = forms.get(members)
+        if form is None:
             if not any(map(set(members).issubset, ctx_sets)):
                 raise ScenarioMismatch(f"term context {members} not inside any maximal context")
-            index = maps[members] = [label_index[m] for m in members]
+            form = forms[members] = ([label_index[m] for m in members],
+                                     tuple(sorted(set(members))))
+        index, scope = form
         try:
             outs = tuple([labels[o] for labels, o in zip(index, asg)])
         except (KeyError, TypeError):  # TypeError: an unhashable label
             m, o = next((m, o) for m, o in zip(members, asg)
                         if o not in scenario.outcomes[m])
             raise ScenarioMismatch(f"outcome {o!r} invalid for measurement index {m}") from None
-        terms.append((members, outs, coef))
+        if scope != members:  # a measurement repeats or is out of order
+            event = {}
+            if any(event.setdefault(m, o) != o for m, o in zip(members, outs)):
+                continue  # conflicting outcomes: the term never fires
+            outs = tuple([event[m] for m in scope])
+        terms.append((scope, outs, coef))
     return terms
 
 
@@ -362,25 +379,29 @@ def correlator_decomposition(scenario, inequality):
 
     Returns ({subset: Fraction}, constant): the inequality value on any
     behavior equals constant + sum over subsets of coef * <prod M_i>.
-    Requires every referenced measurement to be dichotomic +-1.
+    The terms are read in check_inequality's canonical form, so they are
+    checked first (ScenarioMismatch) and every subset is a sorted tuple of
+    distinct measurements; every measurement they reference must then be
+    dichotomic +-1, and each sign is the label at its outcome index.
 
     A term on k members spreads coef / 2^k over the 2^k subsets. Every
     share is accumulated as an integer numerator over the common
     denominator 2^(largest k) * lcm(coefficient denominators), and each
     subset's Fraction is built once at the end.
     """
-    terms = inequality.terms
+    terms = check_inequality(scenario, inequality)
+    outcomes = scenario.outcomes
     for m in dict.fromkeys(m for members, _, _ in terms for m in members):
-        if set(scenario.outcomes[m]) != {1, -1}:
+        if set(outcomes[m]) != {1, -1}:
             raise ScenarioMismatch(f"measurement {m} is not a +-1 observable")
     top = max((len(members) for members, _, _ in terms), default=0)
     den = math.lcm(*(coef.denominator for _, _, coef in terms)) << top
     nums = {}
     const = 0
-    for members, asg, coef in terms:
+    for members, outs, coef in terms:
         k = len(members)
         w = coef.numerator * (den // (coef.denominator << k))
-        signs = [1 if o == 1 else -1 for o in asg]
+        signs = [1 if outcomes[m][o] == 1 else -1 for m, o in zip(members, outs)]
         const += w  # the empty subset
         for r in range(1, k + 1):
             for subset in itertools.combinations(range(k), r):

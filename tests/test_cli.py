@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -383,3 +384,53 @@ def test_negative_budget_or_limit_exits_2(workdir, capsys, tmp_path, argv):
     assert main(argv) == 2
     least = 1 if argv[-2] in ("--iters", "--n") else 0
     assert capsys.readouterr().err == f"error: {argv[-2]} must be >= {least}\n"
+
+
+@pytest.mark.parametrize("argv", [["qvalue", "--dim", "2"], ["map", "--quantum"]],
+                         ids=lambda a: a[0])
+def test_a_never_firing_term_leaves_the_quantum_value(workdir, capsys, argv):
+    # A1 = +1 and A1 = -1 never hold together, so the term adds nothing:
+    # the bound stays 2 and the seesaw finds 2 sqrt 2, on a monotone run
+    doc = json.loads((workdir / "chsh.inequality.json").read_text())
+    doc["terms"].append({"context": ["A1", "A1"], "assignment": [1, -1], "coef": "2"})
+    (workdir / "never.json").write_text(json.dumps(doc))
+    code, out = run(capsys, "bound", "chsh.scenario.json", "never.json")
+    assert code == 0 and out["result"]["classical_bound"] == "2"
+    code, out = run(capsys, argv[0], "chsh.scenario.json", "never.json", *argv[1:])
+    assert code == 0
+    r = out["result"]
+    values = ([r["value"]] if argv[0] == "qvalue"
+              else [r["quantum"]["source"], r["quantum"]["target"]])
+    assert all(abs(v - 2 * math.sqrt(2)) < 1e-6 for v in values)
+
+
+def _zero_denominator(workdir, where):
+    """(argv, content) of an input file with "1/0" in one place."""
+    from ksatlas.scenario import Scenario, uniform_behavior
+    if where in ("coef", "bound"):
+        doc = json.loads((workdir / "chsh.inequality.json").read_text())
+        if where == "coef":
+            doc["terms"][0]["coef"] = "1/0"
+        else:
+            doc["bound"] = "1/0"
+        return ["bound", "chsh.scenario.json"], doc
+    if where == "entry":
+        scenario = Scenario.from_json(json.loads((workdir / "chsh.scenario.json").read_text()))
+        doc = uniform_behavior(scenario).to_json()
+        doc["tables"]["A1,B1"]["1,1"] = "1/0"
+        return ["validate", "chsh.scenario.json"], doc
+    doc = json.loads((workdir / "pm_square.sicset.json").read_text())
+    doc["mu"] = "1/0"
+    return ["sic", "verify"], doc
+
+
+@pytest.mark.parametrize("where", ["coef", "bound", "entry", "mu"])
+def test_zero_denominator_exits_2(workdir, capsys, where):
+    # Fraction("1/0") raises ZeroDivisionError: an input error naming the
+    # file, not a crash
+    argv, doc = _zero_denominator(workdir, where)
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    code = main(argv + ["bad.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.json" in err and "ZeroDivisionError" in err and "Traceback" not in err

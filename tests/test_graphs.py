@@ -499,3 +499,16 @@ def test_chsh_event_form_is_circulant_8_1_4(chsh):
     assert g.n == 8
     want = nx.circulant_graph(8, [1, 4])
     assert nx.is_isomorphic(nx.Graph(list(g.edges)), want)
+
+
+def test_event_form_gives_one_event_per_term_order(chsh):
+    # a term written in reversed member order is the same event: the
+    # exclusivity graph and theta stay those of plain CHSH (8 events,
+    # theta = 2 + sqrt 2), not 9 events with theta near 4.06
+    scenario, ineq = chsh
+    (members, asg, coef), *rest = ineq.terms
+    flipped = Inequality(((members[::-1], asg[::-1], coef), *rest), ineq.bound)
+    g = exclusivity_graph(flipped, scenario)
+    assert g == exclusivity_graph(ineq, scenario) and g.n == 8
+    lo, hi = lovasz_theta(g)
+    assert lo - 1e-6 <= 2 + math.sqrt(2) <= hi + 1e-6

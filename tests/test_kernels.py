@@ -117,11 +117,6 @@ def test_scope_tables_drop_zero_tables_and_widen_past_int64():
     assert wide[(1,)].tolist() == [0, 1 << 62]
 
 
-def test_repeated_measurement_in_a_term():
-    terms = [((0, 0), (1, 1), 3), ((1, 0, 1), (1, 0, 0), 7), ((0, 1), (0, 1), 1)]
-    assert best_assignment([2, 2], terms)[0] == brute([2, 2], terms) == 3
-
-
 def test_budget_caps_the_largest_table():
     # every pair of 8 dichotomic measurements shares a term, so the
     # first elimination already joins all of them: a 2^8-entry table

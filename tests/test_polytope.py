@@ -327,6 +327,16 @@ def test_classical_bound_matches_brute_force(instance):
     assert classical_bound(ineq, s) == brute_bound(s, ineq)
 
 
+def test_repeated_measurement_in_a_term():
+    # a measurement named twice with equal outcomes counts once; a term
+    # naming one with different outcomes never fires
+    s = build_scenario(["M0", "M1"], [2, 2], [(0, 1)])
+    terms = (((0, 0), (-1, -1), F(3)), ((1, 0, 1), (-1, 1, 1), F(7)),
+             ((0, 1), (1, -1), F(1)))
+    ineq = Inequality(terms, 0)
+    assert classical_bound(ineq, s) == brute_bound(s, ineq) == 3
+
+
 def outcome_of(f):
     try:
         f()

@@ -16,8 +16,10 @@ from ksatlas.errors import (
     NotAPOVM,
     NotDichotomic,
     RankDeficiencyAmbiguous,
+    ScenarioMismatch,
     SizeLimitExceeded,
 )
+from ksatlas.graphs import exclusivity_graph
 from ksatlas.quantum import (
     SEESAW_FTOL,
     QuantumModel,
@@ -609,3 +611,63 @@ def test_commuting_triple_is_not_sic():
     assert not verify_sic(sic).is_sic
     with pytest.raises(InvalidSet):
         criticality_check(sic)
+
+
+# -- one canonical term form -------------------------------------------------------
+
+@st.composite
+def same_meaning(draw, scenario, inequality):
+    """The inequality with its terms rewritten without changing what they
+    mean: each term's members permuted, perhaps one of them named twice
+    with its outcome, and up to two terms that never fire (a measurement
+    named twice with different outcomes) inserted anywhere."""
+    terms = []
+    for members, asg, coef in inequality.terms:
+        pairs = list(zip(members, asg))
+        if draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))
+        pairs = draw(st.permutations(pairs))
+        terms.append((tuple(m for m, _ in pairs), tuple(o for _, o in pairs), coef))
+    for _ in range(draw(st.integers(0, 2))):
+        ctx = draw(st.sampled_from(scenario.contexts))
+        m, other = draw(st.sampled_from(ctx)), draw(st.sampled_from(ctx))
+        pairs = [(m, scenario.outcomes[m][0]), (m, scenario.outcomes[m][1]),
+                 (other, draw(st.sampled_from(scenario.outcomes[other])))]
+        pairs = draw(st.permutations(pairs[:draw(st.integers(2, 3))]))
+        term = (tuple(m for m, _ in pairs), tuple(o for _, o in pairs),
+                Fraction(draw(st.integers(-5, 5))))
+        terms.insert(draw(st.integers(0, len(terms))), term)
+    return replace(inequality, terms=tuple(terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_terms_of_the_same_meaning_give_the_same_answers(chsh, pm, data):
+    # every reader of the terms reads check_inequality's canonical form,
+    # so no answer depends on how a term is written
+    for scenario, ineq in (chsh, (pm.scenario, pm.witness)):
+        other = data.draw(same_meaning(scenario, ineq))
+        assert classical_bound(other, scenario) == classical_bound(ineq, scenario)
+        got, want = (correlator_decomposition(scenario, x) for x in (other, ineq))
+        assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
+        assert exclusivity_graph(other, scenario) == exclusivity_graph(ineq, scenario)
+    scenario, ineq = chsh
+    other = data.draw(same_meaning(scenario, ineq))
+    a, b = (seesaw_max(x, scenario, dim=2, restarts=2, iters=60, seed=3)
+            for x in (ineq, other))
+    assert (b.value, b.iterations) == (a.value, a.iterations)
+    witness = data.draw(same_meaning(pm.scenario, pm.witness))
+    assert np.array_equal(witness_operator(replace(pm, witness=witness)),
+                          witness_operator(pm))
+
+
+@pytest.mark.parametrize("bad", [
+    ((0, 1), (1, 1)),   # A1 and A2: no context holds both
+    ((0,), (7,)),       # 7 is not an outcome of A1
+    ((9,), (1,)),       # CHSH has 4 measurements
+], ids=["incompatible-pair", "unknown-label", "unknown-measurement"])
+def test_seesaw_refuses_a_term_outside_the_scenario(chsh, bad):
+    scenario, ineq = chsh
+    broken = Inequality(ineq.terms + (bad + (Fraction(1),),), ineq.bound)
+    with pytest.raises(ScenarioMismatch):
+        seesaw_max(broken, scenario, dim=2, restarts=1, iters=5)

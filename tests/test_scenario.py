@@ -246,11 +246,13 @@ def fraction_correlator_decomposition(scenario, inequality):
 
 @st.composite
 def pm1_inequalities(draw):
-    """A scenario on up to 6 measurements, some of them +-1, and terms on
-    sorted subsets of up to 4 of them with small rational coefficients."""
+    """A scenario on up to 6 pairwise compatible measurements, some of them
+    +-1, and terms on sorted subsets of up to 4 of them with small
+    rational coefficients."""
     n = draw(st.integers(1, 6))
     outcomes = [draw(st.sampled_from([2, 2, 2, 3])) for _ in range(n)]
-    scenario = build_scenario([f"m{i}" for i in range(n)], outcomes, [])
+    scenario = build_scenario([f"m{i}" for i in range(n)], outcomes,
+                              list(itertools.combinations(range(n), 2)))
     terms = []
     for _ in range(draw(st.integers(0, 8))):
         members = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
@@ -275,6 +277,15 @@ def test_correlator_decomposition_matches_fraction_reference(case):
     assert list(coeffs.items()) == list(want[0].items())
     assert all(type(v) is Fraction for v in coeffs.values())
     assert type(const) is Fraction and const == want[1]
+
+
+def test_correlator_decomposition_checks_terms_first():
+    # the terms are read in check_inequality's form, so a term outside
+    # every context raises its ScenarioMismatch
+    scenario = build_scenario(["a", "b"], [2, 2], [])
+    ineq = Inequality((((0,), (1,), 1), ((0, 1), (1, 1), 1)), 0)
+    with pytest.raises(ScenarioMismatch, match="not inside any maximal context"):
+        correlator_decomposition(scenario, ineq)
 
 
 def test_scenario_and_inequality_json_round_trip(hexagon):
