@@ -7,9 +7,9 @@ completes the compatibility graph and may cost tightness), the canned
 examples used throughout (hexagon with its six-term witness, n-cycles,
 CHSH, the two-qubit Peres-Mermin square), and the lift of a
 state-independent witness set to a bipartite Bell inequality. The lift
-is built as integer index terms over one scale, and one elimination of
-them gives its local bound; only the reported expression is written
-with outcome labels and Fraction coefficients.
+is built from the witness's canonical terms as integer index terms over
+one scale, and one elimination of them gives its local bound; only the
+reported expression is written with outcome labels and Fractions.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .polytope import (
 from .quantum import (
     QuantumModel,
     SICSet,
-    _drop_measurement,
+    _operator,
     _require_dichotomic,
     observable_effects,
     seesaw_max,
@@ -55,8 +55,9 @@ from .quantum import (
 from .scenario import (
     Inequality,
     Scenario,
+    _correlators,
     build_scenario,
-    correlator_decomposition,
+    check_inequality,
     correlator_inequality,
     frac_str,
 )
@@ -410,9 +411,9 @@ class SicBellReport:
         }
 
 
-def _lift_terms(s, witness):
-    """The lift of one witness on the dichotomic scenario s as integer
-    index terms over one scale.
+def _lift_terms(s, checked):
+    """The lift of a witness's canonical terms (not checked again) on the
+    dichotomic scenario s as integer index terms over one scale.
 
     For every correlator subset T of the witness (coefficient c_T) and
     every j in T, Alice jointly measures T and contributes the product of
@@ -431,7 +432,7 @@ def _lift_terms(s, witness):
     constant), each term (setting pair, outcome index pair, integer
     coefficient).
     """
-    subsets, const = correlator_decomposition(s, witness)
+    subsets, const = _correlators(s, checked)
     if not subsets:
         raise SicVerificationFailed("witness has no correlator content")
     alice_settings = sorted(subsets)           # tuples of measurement indices
@@ -453,13 +454,13 @@ def _lift_terms(s, witness):
     return alice_settings, bob_meas, radices, terms, scale, const
 
 
-def _lift_once(s, witness, budget):
-    """The bipartite Bell scenario of one witness's lift (_lift_terms) and
-    its expression at the exact local bound: one elimination of the
-    integer terms gives the bound, and the scenario's outcome labels write
-    the same terms as the expression. Returns (scenario, inequality,
-    constant)."""
-    alice_settings, bob_meas, radices, terms, scale, const = _lift_terms(s, witness)
+def _lift_once(s, checked, budget):
+    """The bipartite Bell scenario of the lift (_lift_terms) of one
+    witness's canonical terms and its expression at the exact local
+    bound: one elimination of the integer terms gives the bound, and the
+    scenario's outcome labels write the same terms as the expression.
+    Returns (scenario, inequality, constant)."""
+    alice_settings, bob_meas, radices, terms, scale, const = _lift_terms(s, checked)
     bound = _scaled_maximum(radices, terms, scale, budget)
     alice_ids = ["A(" + "&".join(s.measurements[m] for m in t) + ")"
                  for t in alice_settings]
@@ -479,13 +480,6 @@ def _lift_once(s, witness, budget):
     return bell, Inequality(labelled, bound, "LR", "sic-lift"), const
 
 
-def _lift_bound(s, witness, budget):
-    """(local bound, constant) of one witness's lift, from its integer
-    terms alone: no scenario and no expression is built."""
-    _, _, radices, terms, scale, const = _lift_terms(s, witness)
-    return _scaled_maximum(radices, terms, scale, budget), const
-
-
 def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
     """Lift a verified SIC set to a bipartite Bell inequality.
 
@@ -497,13 +491,13 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
     lifted value is the witness's Tr(W)/d minus the constant term that
     the lift drops. If the computed local bound differs from the
     witness's classical bound mu, the report carries both and flags the
-    mismatch rather than hiding it. Removing a measurement m of the
-    embedded contextual subset drops the witness terms that involve m; the
-    rest is lifted on the same measurements (only names, outcomes and terms
-    are read, so m simply gets no setting), and the residual violation
-    Tr(W_m)/d minus the dropped constant minus the local bound is reported.
-    A removal's lift is bounded from its integer terms alone: no scenario
-    or expression is built for it.
+    mismatch rather than hiding it. After verify_sic the witness's
+    canonical terms are read once, for the lift and every removal: removing
+    a measurement m of the embedded contextual subset keeps the terms
+    without m, lifted on the same measurements (m simply gets no setting),
+    and the residual violation Tr(W_m)/d minus the dropped constant minus
+    the local bound is reported. A removal's operator and lift come from
+    its kept terms alone: no check, scenario or expression is made for it.
     """
     validate_model(sic_set.model(), sic_set.scenario)
     rep = verify_sic(sic_set, sample_states=0)
@@ -513,16 +507,18 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
             f"vs bound {sic_set.mu}")
     s = sic_set.scenario
     _require_dichotomic(s)
-    bell, lifted, const = _lift_once(s, sic_set.witness, budget)
+    terms = check_inequality(s, sic_set.witness)
+    bell, lifted, const = _lift_once(s, terms, budget)
 
     removals = []
     for m in sic_set.embedded or range(len(s.measurements)):
-        witness, w = _drop_measurement(sic_set, m)
-        if not witness.terms:
+        kept = [t for t in terms if m not in t[0]]
+        if not kept:
             removals.append((s.measurements[m], 0.0))
             continue
-        bound_m, const_m = _lift_bound(s, witness, budget)
-        q_m = float(np.trace(w).real)
+        _, _, radices, lift, scale, const_m = _lift_terms(s, kept)
+        bound_m = _scaled_maximum(radices, lift, scale, budget)
+        q_m = float(np.trace(_operator(sic_set.dim, sic_set.effects, kept)).real)
         removals.append((s.measurements[m],
                          q_m / sic_set.dim - float(const_m) - float(bound_m)))
 

@@ -494,7 +494,8 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     factorization, a stalled step or _MAX_NEWTON_STEPS steps end the solve;
     the greedy independent set of what is left then raises the lower end
     to its size if that is higher, and if the interval is still wider than
-    tol, ConvergenceFailure carries it.
+    tol, ConvergenceFailure carries it. A Schur matrix over
+    polytope.MEMORY_BUDGET entries raises SizeLimitExceeded first.
     """
     k, closed = _sandwich(graph, tol, size_limit)
     if closed:
@@ -505,10 +506,14 @@ def lovasz_theta(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
 def _sdp_theta(graph, tol):
     """lovasz_theta's interval from the interior-point solve alone, after
     the exact strip of universal and isolated vertices."""
+    from .polytope import MEMORY_BUDGET  # local import to avoid a cycle
     graph, k = _strip_universal_and_isolated(graph)
     n = graph.n
     if n == 0:
         return (float(k), float(k))
+    if (len(graph.edges) + 1) ** 2 > MEMORY_BUDGET:
+        raise SizeLimitExceeded(f"the theta solve's {len(graph.edges) + 1}^2 Schur "
+                                f"entries exceed the budget of {MEMORY_BUDGET}")
     # adding k rounds each end outward by at most 1.5 ulp(n + k)
     gap = tol - 4 * math.ulp(n + k) if k else tol
 
@@ -618,13 +623,13 @@ def contextuality_ratio(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     = k and neither the branch and bound nor the SDP runs. Otherwise an
     independent set of size alpha gives a feasible primal point, so alpha
     is itself an exact lower bound on theta and tightens the interval's
-    lower end.
+    lower end. The SDP's memory guard fires before the branch and bound.
     """
     k, closed = _sandwich(graph, tol, size_limit)
     if closed:
         return GraphInvariants(alpha=k, theta_lower=float(k), theta_upper=float(k))
-    alpha = independence_number(graph, size_limit=size_limit)
     lo, hi = _sdp_theta(graph, tol)
+    alpha = independence_number(graph, size_limit=size_limit)
     return GraphInvariants(alpha=alpha, theta_lower=max(lo, float(alpha)), theta_upper=hi)
 
 

@@ -5,17 +5,17 @@ verdicts (classical bounds, membership, facet tightness) are exact, and
 each fact has one path. The polytope's dimension is a closed form read
 from the scenario (polytope_dimension). An inequality has one integer
 form, one table per scope from _kernels.scope_tables, maximized by
-variable elimination. One pass over the terms (check_inequality, read
-by _int_terms) both checks them and writes them in canonical form
-(each measurement once, in index order, outcome indices, terms that
-never fire dropped), and _int_terms scales the coefficients over their
-common denominator.
+variable elimination. One pass over the terms (check_inequality) both
+checks them and writes them in canonical form (each measurement once,
+in index order, outcome indices, terms that never fire dropped), and
+_int_terms scales such a list over its common denominator with no
+check, so a caller holding checked terms passes them on.
 classical_bound reads the maximum, which also bounds membership_test's
 separating witness, and tightness_test reads the maximum and the
-maximizers, whose rows alone the exact rank sees. Terms built integer
-and valid, as the SIC lift builds them, go to the elimination directly
-(_scaled_maximum). Only membership builds every vertex
-(enumerate_vertices).
+maximizers, whose rows alone the exact rank sees. Integer terms, from
+_int_terms or built integer and valid as the SIC lift builds them, go
+to the elimination directly (_scaled_maximum). Only membership builds
+every vertex (enumerate_vertices).
 
 Coordinates follow the scenario's cached coordinate form: a vertex or
 behavior is read in `Scenario.grids` order, and the coordinate count D
@@ -150,11 +150,10 @@ def enumerate_vertices(scenario, budget=DEFAULT_BUDGET):
     return PolytopeDescription(scenario, coords)
 
 
-def _int_terms(scenario, inequality):
-    """The inequality's integer form: check_inequality's canonical terms
-    (checked in that one pass) with coefficients scaled to integers over
+def _int_terms(terms):
+    """The integer form of canonical terms (check_inequality's list, which
+    this does not check again): the coefficients scaled to integers over
     their common denominator; returns (terms, denominator)."""
-    terms = check_inequality(scenario, inequality)
     denom = math.lcm(*{c.denominator for _, _, c in terms})
     return [(m, o, c.numerator * (denom // c.denominator)) for m, o, c in terms], denom
 
@@ -175,15 +174,15 @@ def classical_bound(inequality, scenario, budget=DEFAULT_BUDGET):
 def _eliminate(inequality, scenario, budget):
     """(maximum, elimination) of the inequality's integer form; the
     elimination record gives the maximizers."""
-    terms, denom = _int_terms(scenario, inequality)
+    terms, denom = _int_terms(check_inequality(scenario, inequality))
     best, elimination = best_assignment(scenario.radices, terms, budget)
     return Fraction(best, denom), elimination
 
 
 def _scaled_maximum(radices, terms, scale, budget):
     """Fraction(maximum, scale) of integer index terms (best_assignment's
-    terms) that were built valid, as the SIC lift builds them: no check
-    runs."""
+    terms) that are valid already, from _int_terms or as the SIC lift
+    builds them: no check runs."""
     return Fraction(best_assignment(radices, terms, budget)[0], scale)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,14 +26,14 @@ from .errors import (
     RankDeficiencyAmbiguous,
     SizeLimitExceeded,
 )
-from .polytope import MEMORY_BUDGET, classical_bound
+from .polytope import DEFAULT_BUDGET, MEMORY_BUDGET, _int_terms, _scaled_maximum, classical_bound
 from .scenario import (
     Behavior,
     Inequality,
     Scenario,
+    _correlators,
     build_scenario,
     check_inequality,
-    correlator_decomposition,
     frac,
     frac_str,
 )
@@ -149,6 +149,20 @@ class QuantumModel:
         return cls(d, state, effects, flags)
 
 
+def _check_povm(effects, d, error, where=""):
+    """Raise error, prefixing where, at the first failed POVM check at ATOL:
+    each effect in turn is d x d and psd, then the effects sum to I."""
+    total = np.zeros((d, d), dtype=complex)
+    for e in effects:
+        if e.shape != (d, d):
+            raise error(f"{where}effect shape {e.shape} is not ({d}, {d})")
+        if np.linalg.eigvalsh(herm(e))[0] < -ATOL:
+            raise error(f"{where}effect has a negative eigenvalue")
+        total += e
+    if np.abs(total - np.eye(d)).max() > ATOL:
+        raise error(f"{where}effects do not sum to the identity")
+
+
 def validate_model(model, scenario):
     """Shape, positivity, completeness, PVM and edge-commutation checks."""
     d = model.dim
@@ -164,15 +178,7 @@ def validate_model(model, scenario):
             raise InvalidModel(
                 f"measurement {k}: {len(eff)} effects for "
                 f"{len(scenario.outcomes[k])} outcomes")
-        total = np.zeros((d, d), dtype=complex)
-        for e in eff:
-            if e.shape != (d, d):
-                raise InvalidModel(f"measurement {k}: bad effect shape {e.shape}")
-            if np.linalg.eigvalsh(herm(e))[0] < -ATOL:
-                raise InvalidModel(f"measurement {k}: effect not psd")
-            total += e
-        if np.abs(total - np.eye(d)).max() > ATOL:
-            raise InvalidModel(f"measurement {k}: effects do not sum to identity")
+        _check_povm(eff, d, InvalidModel, f"measurement {k}: ")
         if model.pvm_flags and model.pvm_flags[k]:
             for a, ea in enumerate(eff):
                 if np.abs(ea @ ea - ea).max() > ATOL:
@@ -241,16 +247,7 @@ def neumark_dilation(effects):
     effects = [np.asarray(e, dtype=complex) for e in effects]
     if not effects:
         raise NotAPOVM("a POVM needs at least one effect")
-    d = effects[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for e in effects:
-        if e.shape != (d, d):
-            raise NotAPOVM("effects must share one square shape")
-        if np.linalg.eigvalsh(herm(e))[0] < -ATOL:
-            raise NotAPOVM("effect has a negative eigenvalue")
-        total += e
-    if np.abs(total - np.eye(d)).max() > ATOL:
-        raise NotAPOVM("effects do not sum to the identity")
+    _check_povm(effects, effects[0].shape[0], NotAPOVM)
 
     rows = []
     blocks = []
@@ -412,10 +409,11 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     """Alternating maximization of a correlator inequality over dichotomic
     observables and a pure state of the given dimension.
 
-    The inequality is expanded into products of +-1 observables (raising
-    NotDichotomic if any measurement is not +-1 valued); products are
-    fully symmetrized so the objective stays Hermitian off the commuting
-    manifold (the orderings are closed under reversal). State updates
+    The terms are checked before every guard (ScenarioMismatch) and
+    expanded into products of +-1 observables (raising NotDichotomic if
+    any measurement is not +-1 valued); products are fully symmetrized so
+    the objective stays Hermitian off the commuting manifold (the
+    orderings are closed under reversal). State updates
     take the top eigenvector of the objective operator, observable
     updates the polar sign of the effective operator F_t, whose trace
     with M_t is the part of the objective linear in M_t (_class_operator).
@@ -443,6 +441,7 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
     (measurements x restarts x dim^2) raises SizeLimitExceeded before it
     is allocated.
     """
+    checked = check_inequality(scenario, inequality)
     _require_dichotomic(scenario)
     if dim < 2:
         raise InvalidModel("dim must be >= 2")
@@ -453,7 +452,7 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
         raise SizeLimitExceeded(
             f"{restarts} restarts of {n_meas} observables of dimension {dim} exceed "
             f"the budget of {MEMORY_BUDGET} stored entries")
-    subsets, const = correlator_decomposition(scenario, inequality)
+    subsets, const = _correlators(scenario, checked)
     terms = _split_terms({k: float(v) for k, v in subsets.items()}, float(const), n_meas)
     rng = np.random.default_rng(seed)
 
@@ -567,12 +566,17 @@ def witness_operator(sic_set):
     product of the effects selected by each term, read in
     check_inequality's canonical form (each measurement once, in index
     order; a term that never fires adds nothing)."""
-    d = sic_set.dim
+    terms = check_inequality(sic_set.scenario, sic_set.witness)
+    return _operator(sic_set.dim, sic_set.effects, terms)
+
+
+def _operator(d, effects, terms):
+    """witness_operator of terms already in canonical form."""
     w = np.zeros((d, d), dtype=complex)
-    for members, outs, coef in check_inequality(sic_set.scenario, sic_set.witness):
+    for members, outs, coef in terms:
         op = np.eye(d, dtype=complex)
         for m, o in zip(members, outs):
-            op = op @ sic_set.effects[m][o]
+            op = op @ effects[m][o]
         w = w + float(coef) * op
     return herm(w)
 
@@ -626,43 +630,27 @@ def verify_sic(sic_set, sample_states=100, seed=0):
     return SicReport(is_sic, q_est, dev, lam_min, sample_min, sic_set.mu)
 
 
-def _drop_measurement(sic_set, index):
-    """The witness without the terms that involve measurement `index`, and
-    its operator. The measurement stays in the scenario, unmentioned and so
-    free: every classical bound equals the one on the induced scenario."""
-    witness = replace(sic_set.witness, terms=tuple(
-        t for t in sic_set.witness.terms if index not in t[0]))
-    return witness, witness_operator(replace(sic_set, witness=witness))
-
-
 def remove_measurement(sic_set, index):
     """The witness set with one measurement deleted: the witness terms that
     involve it are dropped (the removal rule of criticality_check), and the
     set is restricted to the induced scenario, where the classical bound is
-    recomputed exactly; it equals the bound on the full scenario."""
-    s = sic_set.scenario
-    witness, w = _drop_measurement(sic_set, index)
+    recomputed exactly; it equals the bound on the full scenario. One
+    check of the reduced witness gives both its bound and its operator."""
+    s, witness = sic_set.scenario, sic_set.witness
     keep = [m for m in range(len(s.measurements)) if m != index]
     remap = {m: k for k, m in enumerate(keep)}
-    edges = [
-        (remap[i], remap[j]) for i, j in s.compat.edges
-        if i != index and j != index
-    ]
-    reduced = build_scenario(
-        [s.measurements[m] for m in keep],
-        [s.outcomes[m] for m in keep],
-        edges,
-    )
-    terms = tuple(
-        (tuple(remap[m] for m in members), asg, coef)
-        for members, asg, coef in witness.terms
-    )
-    witness = Inequality(terms, witness.bound, witness.kind,
+    edges = [(remap[i], remap[j]) for i, j in s.compat.edges if index not in (i, j)]
+    reduced = build_scenario([s.measurements[m] for m in keep],
+                             [s.outcomes[m] for m in keep], edges)
+    terms = tuple((tuple(remap[m] for m in members), asg, coef)
+                  for members, asg, coef in witness.terms if index not in members)
+    checked = check_inequality(reduced, Inequality(terms, 0))
+    mu = _scaled_maximum(reduced.radices, *_int_terms(checked), DEFAULT_BUDGET)
+    witness = Inequality(terms, mu, witness.kind,
                          witness.label + f"-minus-{s.measurements[index]}")
-    mu = classical_bound(witness, reduced)
     effects = tuple(sic_set.effects[m] for m in keep)
-    return SICSet(sic_set.dim, reduced, effects, replace(witness, bound=mu), mu,
-                  float(np.trace(w).real) / sic_set.dim)
+    q = float(np.trace(_operator(sic_set.dim, effects, checked)).real) / sic_set.dim
+    return SICSet(sic_set.dim, reduced, effects, witness, mu, q)
 
 
 def criticality_check(sic_set, sample_states=50, seed=0):
@@ -671,17 +659,22 @@ def criticality_check(sic_set, sample_states=50, seed=0):
     Returns (critical, breaks) where breaks[k] is True when deleting
     measurement k destroys the SIC property; the set is critical when
     every removal does. Only the full set goes through verify_sic and its
-    state sampling. Removing k drops the terms that involve it, on the same
-    scenario; that breaks the set when no term is left, or when the exact
-    minimum (eigenvalue) of what is left is not above its classical bound
-    by more than SIC_MARGIN.
+    state sampling; the witness's canonical terms are then read once.
+    Removing k keeps those that do not involve it, on the same scenario;
+    that breaks the set when none is left, or when the exact minimum
+    (eigenvalue) of their operator is not above their classical bound by
+    more than SIC_MARGIN, both read off the kept terms with no new check.
     """
     base = verify_sic(sic_set, sample_states=sample_states, seed=seed)
     if not base.is_sic:
         raise InvalidSet("the full set is not a SIC set")
+    s = sic_set.scenario
+    terms = check_inequality(s, sic_set.witness)
     breaks = []
-    for k in range(len(sic_set.scenario.measurements)):
-        witness, w = _drop_measurement(sic_set, k)
-        breaks.append(not witness.terms or float(np.linalg.eigvalsh(w)[0])
-                      <= float(classical_bound(witness, sic_set.scenario)) + SIC_MARGIN)
+    for k in range(len(s.measurements)):
+        kept = [t for t in terms if k not in t[0]]
+        if kept:
+            low = np.linalg.eigvalsh(_operator(sic_set.dim, sic_set.effects, kept))[0]
+            mu = _scaled_maximum(s.radices, *_int_terms(kept), DEFAULT_BUDGET)
+        breaks.append(not kept or float(low) <= float(mu) + SIC_MARGIN)
     return all(breaks), breaks

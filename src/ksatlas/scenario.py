@@ -16,10 +16,12 @@ stored expanded into event terms so a single evaluation path serves
 both forms. check_inequality alone reads the terms as written: it
 checks them and gives each in one canonical form (its measurements
 sorted and each listed once, outcome indices, terms that never fire
-dropped), which every other reader reads: the classical bound, the
-correlator expansion (hence the seesaw and the SIC lift), the witness
-operator and the exclusivity graph's events. evaluate reads the labels
-as written, an independent check of that form.
+dropped). Callers pass that list, not the inequality, down to the
+private readers of it: the classical bound's integer form
+(polytope._int_terms), the correlator expansion (_correlators, hence
+the seesaw and the SIC lift) and the witness operator; a SIC set's
+removals filter it. evaluate reads the labels as written, an
+independent check of that form.
 """
 
 from __future__ import annotations
@@ -389,7 +391,11 @@ def correlator_decomposition(scenario, inequality):
     denominator 2^(largest k) * lcm(coefficient denominators), and each
     subset's Fraction is built once at the end.
     """
-    terms = check_inequality(scenario, inequality)
+    return _correlators(scenario, check_inequality(scenario, inequality))
+
+
+def _correlators(scenario, terms):
+    """correlator_decomposition of check_inequality's canonical terms."""
     outcomes = scenario.outcomes
     for m in dict.fromkeys(m for members, _, _ in terms for m in members):
         if set(outcomes[m]) != {1, -1}:

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksatlas.bridge
+import ksatlas.cli
 import ksatlas.polytope
 import ksatlas.quantum
+import ksatlas.scenario
 from ksatlas.bridge import (
     bell_to_ks,
     chsh_example,
@@ -36,10 +39,12 @@ from ksatlas.quantum import (
     criticality_check,
     quantum_behavior,
     remove_measurement,
+    witness_operator,
 )
 from ksatlas.scenario import (
     Inequality,
     build_scenario,
+    check_inequality,
     correlator_decomposition,
     correlator_inequality,
     evaluate,
@@ -408,11 +413,14 @@ def reference_lift(s, witness, budget=ksatlas.polytope.DEFAULT_BUDGET):
 
 def reference_removals(sic, budget=ksatlas.polytope.DEFAULT_BUDGET):
     """Reference removal violations: each embedded measurement's reduced
-    witness lifted by reference_lift."""
+    witness (the terms as written that do not involve it) lifted by
+    reference_lift, with its operator from witness_operator."""
     s = sic.scenario
     out = []
     for m in sic.embedded or range(len(s.measurements)):
-        witness, w = ksatlas.quantum._drop_measurement(sic, m)
+        witness = dataclasses.replace(sic.witness, terms=tuple(
+            t for t in sic.witness.terms if m not in t[0]))
+        w = witness_operator(dataclasses.replace(sic, witness=witness))
         if not witness.terms:
             out.append((s.measurements[m], 0.0))
             continue
@@ -449,13 +457,19 @@ def test_integer_lift_equals_the_reference_on_rescaled_witnesses(pm, coefs, m):
     witness = correlator_inequality(pm.scenario, correlators, 0)
     if not any(a for a, _ in coefs):
         return
-    bell, lifted, const = ksatlas.bridge._lift_once(pm.scenario, witness, 1 << 24)
+    terms = check_inequality(pm.scenario, witness)
+    bell, lifted, const = ksatlas.bridge._lift_once(pm.scenario, terms, 1 << 24)
     assert (bell, lifted, const) == reference_lift(pm.scenario, witness)
+    # a removal's lift, as sic_to_bell bounds it: the canonical terms that
+    # do not involve m, against the reference on the terms as written
+    kept = [t for t in terms if m not in t[0]]
     reduced = dataclasses.replace(witness, terms=tuple(
         t for t in witness.terms if m not in t[0]))
     if reduced.terms and correlator_decomposition(pm.scenario, reduced)[0]:
         _, ref, ref_const = reference_lift(pm.scenario, reduced)
-        assert ksatlas.bridge._lift_bound(pm.scenario, reduced, 1 << 24) == (ref.bound, ref_const)
+        _, _, radices, lift, scale, const_m = ksatlas.bridge._lift_terms(pm.scenario, kept)
+        bound_m = ksatlas.polytope._scaled_maximum(radices, lift, scale, 1 << 24)
+        assert (bound_m, const_m) == (ref.bound, ref_const)
 
 
 # -- work done ---------------------------------------------------------------------
@@ -505,13 +519,56 @@ def test_criticality_and_pearle_rebuild_nothing(monkeypatch, pm):
     work = count_calls(monkeypatch, [
         (ksatlas.polytope, "best_assignment", "elim"),
         (ksatlas.quantum, "build_scenario", "build"),
-        (ksatlas.quantum, "witness_operator", "operator"),
+        (ksatlas.quantum, "_operator", "operator"),
         (ksatlas.quantum, "random_state", "state"),
         (ksatlas.bridge, "_face_verdict", "face"),
     ])
-    # the full set's operator and sampled states, then per removal one
-    # operator and one bound on the same scenario
+    # the full set's operator (witness_operator, inside verify_sic) and
+    # sampled states, then per removal one operator and one bound on the
+    # same scenario
     assert work(lambda: criticality_check(pm)) \
         == {"elim": 9, "operator": 10, "state": 50}
     # the closure scenario and the target are read off, no verdict is made
     assert work(pearle_hexagon) == {"elim": 1}
+
+
+def count_term_checks(monkeypatch):
+    """count_calls on scenario.check_inequality at every ksatlas.* module
+    binding of it, so readers that imported the name count too."""
+    check = ksatlas.scenario.check_inequality
+    targets = [(module, attr, "check")
+               for name, module in list(sys.modules.items()) if name.startswith("ksatlas")
+               for attr, value in list(vars(module).items()) if value is check]
+    return count_calls(monkeypatch, targets)
+
+
+def test_each_question_checks_its_terms_once(monkeypatch, tmp_path, capsys, pm):
+    for which in ("chsh", "pearle", "pm-square"):
+        assert ksatlas.cli.main(["examples", which, "--out", str(tmp_path)]) == 0
+    work = count_term_checks(monkeypatch)
+    # verify_sic's pass, then one read of the canonical terms that every
+    # removal filters
+    assert work(lambda: criticality_check(pm)) == {"check": 2}
+    assert work(lambda: sic_to_bell(pm)) == {"check": 2}
+    assert work(lambda: sic_to_bell(dataclasses.replace(pm, embedded=(0,)))) == {"check": 2}
+    # the CLI leaves the check to the library call; a map with the seesaw
+    # checks once for the bound and once for the expansion, and sic
+    # critical once more for the stored mu
+    chsh = [str(tmp_path / f) for f in ("chsh.scenario.json", "chsh.inequality.json")]
+    pearle = [str(tmp_path / f) for f in ("pearle.scenario.json", "pearle.gamma.json")]
+    pm_files = [str(tmp_path / f) for f in ("pm_square.scenario.json", "pm_square.witness.json")]
+    cases = [
+        (["bound", *chsh], 1),
+        (["tight", *chsh], 1),
+        (["qvalue", *chsh, "--dim", "2", "--restarts", "2"], 1),
+        (["map", *chsh], 1),
+        (["map", *pearle, "--partition", str(tmp_path / "pearle.partition.json")], 1),
+        (["map", *pm_files], 1),
+        (["map", *chsh, "--quantum", "--restarts", "2"], 2),
+        (["sic", "critical", str(tmp_path / "pm_square.sicset.json")], 3),
+    ]
+    for argv, passes in cases:
+        codes = []
+        assert work(lambda: codes.append(ksatlas.cli.main(argv))) == {"check": passes}, argv
+        assert codes == [0], argv
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -402,6 +403,37 @@ def test_a_never_firing_term_leaves_the_quantum_value(workdir, capsys, argv):
     values = ([r["value"]] if argv[0] == "qvalue"
               else [r["quantum"]["source"], r["quantum"]["target"]])
     assert all(abs(v - 2 * math.sqrt(2)) < 1e-6 for v in values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound"], ["tight"], ["map"], ["map", "--quantum"],
+    ["qvalue", "--dim", "2"], ["qvalue", "--dim", "20000"],
+], ids=lambda a: "-".join(a).replace("--", ""))
+def test_a_term_on_an_incompatible_pair_exits_2(workdir, capsys, argv):
+    # A1 and A2 share no context. The library call checks the terms before
+    # any other work, so the input error comes first even where a seesaw
+    # of dimension 20000 would exceed the memory budget (exit 3)
+    doc = json.loads((workdir / "chsh.inequality.json").read_text())
+    doc["terms"].append({"context": ["A1", "A2"], "assignment": [1, 1], "coef": "1"})
+    (workdir / "incompatible.json").write_text(json.dumps(doc))
+    code = main([argv[0], "chsh.scenario.json", "incompatible.json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: term context (0, 1) not inside any maximal context\n"
+
+
+@pytest.mark.parametrize("what", ["theta", "ratio"])
+def test_theta_over_memory_budget_exits_3(tmp_path, capsys, what):
+    # a seeded G(200, 1/2) passes --limit 300, but its Schur matrix of
+    # (|E| + 1)^2 entries does not fit the memory budget
+    rng = random.Random(0)
+    edges = [[i, j] for i in range(200) for j in range(i + 1, 200) if rng.random() < 0.5]
+    gpath = tmp_path / "g200.json"
+    gpath.write_text(json.dumps({"n": 200, "edges": edges}))
+    code = main(["graph", what, str(gpath), "--limit", "300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource limit: the theta solve's ") and "Traceback" not in err
 
 
 def _zero_denominator(workdir, where):

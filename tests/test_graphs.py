@@ -350,6 +350,32 @@ def test_theta_strips_universal_and_isolated_vertices_exactly():
         assert abs(glo - (lo + 2)) <= 1e-8 and abs(ghi - (hi + 2)) <= 1e-8
 
 
+def test_theta_memory_guard_fires_before_allocating(monkeypatch):
+    # C5 joined with a universal vertex: the stripped C5 asks for a
+    # (5 + 1)^2 Schur matrix, so a budget one below refuses theta and the
+    # ratio before the solve (and the branch and bound) starts, and a
+    # budget of exactly 36 solves
+    import ksatlas.graphs as graphs
+    import ksatlas.polytope as polytope
+
+    g = Graph(6, cycle_graph(5).edges + tuple((v, 5) for v in range(5)))
+    solve = graphs._certified_lower_from_point
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("theta solve started past the memory guard")
+
+    monkeypatch.setattr(graphs, "_certified_lower_from_point", no_work)
+    monkeypatch.setattr(graphs, "independence_number", no_work)
+    monkeypatch.setattr(polytope, "MEMORY_BUDGET", 35)
+    for invariant in (lovasz_theta, contextuality_ratio):
+        with pytest.raises(SizeLimitExceeded):
+            invariant(g)
+    monkeypatch.setattr(graphs, "_certified_lower_from_point", solve)
+    monkeypatch.setattr(polytope, "MEMORY_BUDGET", 36)
+    lo, hi = lovasz_theta(g)
+    assert lo <= math.sqrt(5) <= hi
+
+
 def circulant(n, jumps):
     return Graph(n, tuple((i, (i + d) % n) for i in range(n) for d in jumps))
 
