@@ -49,7 +49,6 @@ from .quantum import (
     _require_dichotomic,
     observable_effects,
     seesaw_max,
-    validate_model,
     verify_sic,
 )
 from .scenario import (
@@ -57,7 +56,6 @@ from .scenario import (
     Scenario,
     _correlators,
     build_scenario,
-    check_inequality,
     correlator_inequality,
     frac_str,
 )
@@ -366,10 +364,8 @@ def pm_square():
         sign = 1 if prod[0, 0].real > 0 else -1
         correlators.append((ctx, sign))
     probe = correlator_inequality(scenario, correlators, 0, "NCHV", "pm-witness")
-    mu = classical_bound(probe, scenario)
-    witness = replace(probe, bound=mu)
-    effects = tuple(observable_effects(m) for m in mats)
-    return SICSet(4, scenario, effects, witness, mu, float(len(correlators)))
+    witness = replace(probe, bound=classical_bound(probe, scenario))
+    return SICSet(4, scenario, tuple(observable_effects(m) for m in mats), witness)
 
 
 # -- SIC set to bipartite Bell -----------------------------------------------------
@@ -485,21 +481,17 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
 
     The local bound is computed exactly on the lifted scenario. The
     quantum value is that of the two-qudit maximally entangled state,
-    where <Phi| A (x) B^T |Phi> = Tr(AB)/d: with compatible effects
-    commuting (checked first, NonCommutingContext otherwise), each lifted
-    term of a correlator subset T reads Tr(prod over T of A_m)/d, so the
-    lifted value is the witness's Tr(W)/d minus the constant term that
-    the lift drops. If the computed local bound differs from the
-    witness's classical bound mu, the report carries both and flags the
-    mismatch rather than hiding it. After verify_sic the witness's
-    canonical terms are read once, for the lift and every removal: removing
-    a measurement m of the embedded contextual subset keeps the terms
-    without m, lifted on the same measurements (m simply gets no setting),
-    and the residual violation Tr(W_m)/d minus the dropped constant minus
-    the local bound is reported. A removal's operator and lift come from
-    its kept terms alone: no check, scenario or expression is made for it.
+    where <Phi| A (x) B^T |Phi> = Tr(AB)/d: compatible effects commute
+    in a SICSet, so each lifted term of a correlator subset T reads
+    Tr(prod over T of A_m)/d and the lifted value is q minus the constant
+    term that the lift drops. A local bound other than mu is reported and
+    flagged, not hidden. The set's canonical terms feed the lift and every
+    removal: removing a measurement m of the embedded contextual subset
+    keeps the terms without m, lifted on the same measurements (m gets no
+    setting), and reports the residual violation Tr(W_m)/d minus the
+    dropped constant minus the local bound, with no check, scenario or
+    expression made for it.
     """
-    validate_model(sic_set.model(), sic_set.scenario)
     rep = verify_sic(sic_set, sample_states=0)
     if not rep.is_sic:
         raise SicVerificationFailed(
@@ -507,12 +499,11 @@ def sic_to_bell(sic_set, budget=DEFAULT_BUDGET):
             f"vs bound {sic_set.mu}")
     s = sic_set.scenario
     _require_dichotomic(s)
-    terms = check_inequality(s, sic_set.witness)
-    bell, lifted, const = _lift_once(s, terms, budget)
+    bell, lifted, const = _lift_once(s, sic_set.terms, budget)
 
     removals = []
     for m in sic_set.embedded or range(len(s.measurements)):
-        kept = [t for t in terms if m not in t[0]]
+        kept = [t for t in sic_set.terms if m not in t[0]]
         if not kept:
             removals.append((s.measurements[m], 0.0))
             continue
@@ -553,10 +544,13 @@ def map_report(scenario, inequality, partition=None, with_quantum=False,
     connection via the lexicographically smallest valid partition; when
     no such partition exists only the generic witness-set lift applies,
     which needs a SIC set rather than a bare inequality and is therefore
-    only reported.
+    only reported. A given partition is checked even where the scenario's
+    own parties are used (InvalidPartition, UndersizedPart).
     """
     cnp = _bell_partition(scenario.compat)
     if cnp is not None:
+        if partition is not None:
+            _party_closure(scenario, partition)
         if inequality.kind == "LR":
             report = bell_to_ks(scenario, inequality, budget=budget)
         else:

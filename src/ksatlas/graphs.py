@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidEdge, InvalidTolerance, SizeLimitExceeded
+from .errors import ConvergenceFailure, InvalidEdge, InvalidTolerance, SizeLimitExceeded, TooSmall
 
 __all__ = [
     "Graph",
@@ -67,6 +67,8 @@ class Graph:
     edges: tuple = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise TooSmall(f"a graph needs n >= 0 vertices, got {self.n}")
         object.__setattr__(self, "edges", _canon_edges(self.n, self.edges))
 
     def adjacency_masks(self):
@@ -624,7 +626,10 @@ def contextuality_ratio(graph, tol=1e-6, size_limit=DEFAULT_SIZE_LIMIT):
     independent set of size alpha gives a feasible primal point, so alpha
     is itself an exact lower bound on theta and tightens the interval's
     lower end. The SDP's memory guard fires before the branch and bound.
+    The empty graph has no ratio (TooSmall).
     """
+    if not graph.n:
+        raise TooSmall("the contextuality ratio needs a vertex")
     k, closed = _sandwich(graph, tol, size_limit)
     if closed:
         return GraphInvariants(alpha=k, theta_lower=float(k), theta_upper=float(k))

@@ -3,14 +3,15 @@
 Covers behavior generation from states and (commuting-per-context)
 measurements, dilation of POVMs to projective measurements on a larger
 space, seesaw maximization of correlator inequalities over dichotomic
-observables, and verification of state-independent witness sets.
+observables, and verification of state-independent witness sets, which
+are checked once, when built, and hold what every SIC question reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -500,24 +501,39 @@ def seesaw_max(inequality, scenario, dim, restarts=20, iters=300, seed=0):
 
 # -- state-independent witness sets ------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SICSet:
-    """Measurements claimed to witness contextuality for every state."""
+    """Measurements claimed to witness contextuality for every state,
+    checked once, when built: dim >= 3 and embedded in range (InvalidSet),
+    the effects (validate_model: one list per measurement, POVMs, commuting
+    when compatible) and the witness's terms (check_inequality). Every SIC
+    question reads what is derived then: the witness's canonical terms,
+    classical (NCHV) bound mu, operator W and q = Tr(W)/d."""
 
     dim: int
     scenario: Scenario
     effects: tuple               # per measurement, per outcome effects
     witness: Inequality
-    mu: Fraction                 # classical (NCHV) bound of the witness
-    q: float                     # state-independent quantum value Tr(W)/d,
-                                 # checked by verify_sic
     embedded: tuple | None = None  # contextual subset driving the Bell lift
                                    # (None means the whole set)
+    mu: Fraction = field(init=False)
+    q: float = field(init=False)
+    terms: list = field(init=False, repr=False, compare=False)
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def model(self, state=None):
-        if state is None:
-            state = np.eye(self.dim, dtype=complex) / self.dim
-        return QuantumModel(self.dim, state, self.effects)
+    def __post_init__(self):
+        if self.dim < 3:
+            raise InvalidSet("state-independent witness sets need dimension >= 3")
+        validate_model(QuantumModel(self.dim, np.eye(self.dim) / self.dim, self.effects),
+                       self.scenario)
+        terms = check_inequality(self.scenario, self.witness)
+        if not all(0 <= m < len(self.scenario.measurements) for m in self.embedded or ()):
+            raise InvalidSet(f"embedded {self.embedded} names no measurement of the set")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "operator", _operator(self.dim, self.effects, terms))
+        object.__setattr__(self, "q", float(np.trace(self.operator).real) / self.dim)
+        object.__setattr__(self, "mu", _scaled_maximum(
+            self.scenario.radices, *_int_terms(terms), DEFAULT_BUDGET))
 
     def to_json(self):
         return {
@@ -537,19 +553,23 @@ class SICSet:
 
     @classmethod
     def from_json(cls, data):
-        """The set stored by to_json. verify_sic's verdict rests on mu, so a
-        mu other than the witness's exact classical bound raises InvalidSet."""
+        """The set stored by to_json, built (and so checked) from its
+        dimension, scenario, effects and witness; a stored mu or q other
+        than the derived one raises InvalidSet."""
         scenario = Scenario.from_json(data["scenario"])
         effects = tuple(
             tuple(mat_from_json(e) for e in m["effects"])
             for m in data["measurements"]
         )
         witness = Inequality.from_json(scenario, data["witness"])
-        mu, bound = frac(data["mu"]), classical_bound(witness, scenario)
-        if mu != bound:
+        sic = cls(int(data["d"]), scenario, effects, witness)
+        mu, q = frac(data["mu"]), float(data["q"])
+        if mu != sic.mu:
             raise InvalidSet(f"stored mu {frac_str(mu)} is not the witness's "
-                             f"classical bound {frac_str(bound)}")
-        return cls(int(data["d"]), scenario, effects, witness, mu, float(data["q"]))
+                             f"classical bound {frac_str(sic.mu)}")
+        if abs(q - sic.q) > 1e-9:
+            raise InvalidSet(f"stored q {q} differs from Tr(W)/d = {sic.q}")
+        return sic
 
 
 def observable_effects(observable):
@@ -562,16 +582,13 @@ def observable_effects(observable):
 
 
 def witness_operator(sic_set):
-    """Operator form of the witness: sum of coef times the (commuting)
-    product of the effects selected by each term, read in
-    check_inequality's canonical form (each measurement once, in index
-    order; a term that never fires adds nothing)."""
-    terms = check_inequality(sic_set.scenario, sic_set.witness)
-    return _operator(sic_set.dim, sic_set.effects, terms)
+    """A copy of the set's witness operator W, computed when it was built."""
+    return sic_set.operator.copy()
 
 
 def _operator(d, effects, terms):
-    """witness_operator of terms already in canonical form."""
+    """Sum of coef times the (commuting) product of the effects selected
+    by each of check_inequality's canonical terms."""
     w = np.zeros((d, d), dtype=complex)
     for members, outs, coef in terms:
         op = np.eye(d, dtype=complex)
@@ -602,40 +619,29 @@ class SicReport:
 
 
 def verify_sic(sic_set, sample_states=100, seed=0):
-    """State-independence diagnostics for a witness set.
+    """State-independence diagnostics read off the set's W, q and mu.
 
-    Two diagnostics are reported separately: the deviation of the witness
-    operator from a scalar multiple of the identity, and its minimum
-    eigenvalue (the exact minimum of the witness value over states). The
-    verdict requires the minimum over states to exceed the classical
-    bound by more than SIC_MARGIN. A stored q that differs from
-    Tr(W)/d by more than 1e-9 raises InvalidSet.
+    Two diagnostics are reported separately: the deviation of W from
+    q times the identity, and its minimum eigenvalue (the exact minimum
+    of the witness value over states). The verdict requires the minimum
+    over states to exceed the classical bound mu by more than SIC_MARGIN.
     """
-    if sic_set.dim < 3:
-        raise InvalidSet("state-independent witness sets need dimension >= 3")
-    if len(sic_set.effects) != len(sic_set.scenario.measurements):
-        raise InvalidSet("one effect list per scenario measurement required")
-    w = witness_operator(sic_set)
-    d = sic_set.dim
-    q_est = float(np.trace(w).real) / d
-    if abs(sic_set.q - q_est) > 1e-9:
-        raise InvalidSet(f"stored q {sic_set.q} differs from Tr(W)/d = {q_est}")
-    dev = float(np.linalg.norm(w - q_est * np.eye(d)))
-    vals = np.linalg.eigvalsh(w)
-    lam_min = float(vals[0])
+    w, d, q = sic_set.operator, sic_set.dim, sic_set.q
+    dev = float(np.linalg.norm(w - q * np.eye(d)))
+    lam_min = float(np.linalg.eigvalsh(w)[0])
     rng = np.random.default_rng(seed)
     psis = (random_state(d, rng) for _ in range(sample_states))
     sample_min = min((float((psi.conj() @ w @ psi).real) for psi in psis), default=None)
     is_sic = lam_min > float(sic_set.mu) + SIC_MARGIN
-    return SicReport(is_sic, q_est, dev, lam_min, sample_min, sic_set.mu)
+    return SicReport(is_sic, q, dev, lam_min, sample_min, sic_set.mu)
 
 
 def remove_measurement(sic_set, index):
     """The witness set with one measurement deleted: the witness terms that
     involve it are dropped (the removal rule of criticality_check), and the
-    set is restricted to the induced scenario, where the classical bound is
-    recomputed exactly; it equals the bound on the full scenario. One
-    check of the reduced witness gives both its bound and its operator."""
+    set is restricted to the induced scenario, where the witness's
+    classical bound is recomputed exactly; it equals the bound on the full
+    scenario."""
     s, witness = sic_set.scenario, sic_set.witness
     keep = [m for m in range(len(s.measurements)) if m != index]
     remap = {m: k for k, m in enumerate(keep)}
@@ -644,13 +650,9 @@ def remove_measurement(sic_set, index):
                              [s.outcomes[m] for m in keep], edges)
     terms = tuple((tuple(remap[m] for m in members), asg, coef)
                   for members, asg, coef in witness.terms if index not in members)
-    checked = check_inequality(reduced, Inequality(terms, 0))
-    mu = _scaled_maximum(reduced.radices, *_int_terms(checked), DEFAULT_BUDGET)
-    witness = Inequality(terms, mu, witness.kind,
+    witness = Inequality(terms, classical_bound(Inequality(terms, 0), reduced), witness.kind,
                          witness.label + f"-minus-{s.measurements[index]}")
-    effects = tuple(sic_set.effects[m] for m in keep)
-    q = float(np.trace(_operator(sic_set.dim, effects, checked)).real) / sic_set.dim
-    return SICSet(sic_set.dim, reduced, effects, witness, mu, q)
+    return SICSet(sic_set.dim, reduced, tuple(sic_set.effects[m] for m in keep), witness)
 
 
 def criticality_check(sic_set, sample_states=50, seed=0):
@@ -659,20 +661,19 @@ def criticality_check(sic_set, sample_states=50, seed=0):
     Returns (critical, breaks) where breaks[k] is True when deleting
     measurement k destroys the SIC property; the set is critical when
     every removal does. Only the full set goes through verify_sic and its
-    state sampling; the witness's canonical terms are then read once.
-    Removing k keeps those that do not involve it, on the same scenario;
-    that breaks the set when none is left, or when the exact minimum
+    state sampling. Removing k keeps the set's canonical terms (checked
+    when it was built) that do not involve k, on the same scenario; that
+    breaks the set when none is left, or when the exact minimum
     (eigenvalue) of their operator is not above their classical bound by
-    more than SIC_MARGIN, both read off the kept terms with no new check.
+    more than SIC_MARGIN, both read off the kept terms.
     """
     base = verify_sic(sic_set, sample_states=sample_states, seed=seed)
     if not base.is_sic:
         raise InvalidSet("the full set is not a SIC set")
     s = sic_set.scenario
-    terms = check_inequality(s, sic_set.witness)
     breaks = []
     for k in range(len(s.measurements)):
-        kept = [t for t in terms if k not in t[0]]
+        kept = [t for t in sic_set.terms if k not in t[0]]
         if kept:
             low = np.linalg.eigvalsh(_operator(sic_set.dim, sic_set.effects, kept))[0]
             mu = _scaled_maximum(s.radices, *_int_terms(kept), DEFAULT_BUDGET)

@@ -131,7 +131,7 @@ def build_scenario(measurements, outcomes, compat_edges):
 
     `outcomes` may be a per-measurement list of outcome labels or a list
     of outcome counts (count k yields labels 0..k-1; count 2 yields the
-    dichotomic labels +1/-1).
+    dichotomic labels +1/-1). Labels must differ, also as strings (TooFewOutcomes).
     """
     ids = tuple(measurements)
     if len(set(ids)) != len(ids):
@@ -144,7 +144,7 @@ def build_scenario(measurements, outcomes, compat_edges):
             labels = tuple(spec)
         if len(labels) < 2:
             raise TooFewOutcomes(f"measurement needs >= 2 outcomes, got {labels}")
-        if len(set(labels)) != len(labels):
+        if len(set(labels)) != len(labels) or len(set(map(str, labels))) != len(labels):
             raise TooFewOutcomes(f"duplicate outcome labels {labels}")
         out_sets.append(labels)
     if len(out_sets) != len(ids):

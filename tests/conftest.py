@@ -2,10 +2,12 @@ import itertools
 import numbers
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ksatlas.bridge import chsh_example, n_cycle, pearle_hexagon, pm_square
 from ksatlas.errors import MissingContextTable, NegativeProbability
+from ksatlas.quantum import _operator, mat_to_json, observable_effects
 from ksatlas.scenario import outcome_grid
 
 F = Fraction
@@ -96,6 +98,19 @@ def fraction_validation(scenario, behavior, tol=0, floor=0):
         if worst > tol:
             disturbance.append((a, b, shared, worst))
     return not (norm or disturbance), tuple(norm), tuple(disturbance)
+
+
+def rotated_a11(pm, angle=0.05):
+    """The PM square's effects with A11 = Z (x) I turned towards X (x) I by
+    angle, so that A11 no longer commutes with its compatible A13 = Z (x) Z,
+    and the set's JSON with them and with q = Tr(W)/d of its witness."""
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    a11 = np.kron(np.cos(angle) * z + np.sin(angle) * x, np.eye(2))
+    effects = (observable_effects(a11),) + tuple(pm.effects[1:])
+    data = pm.to_json()
+    data["measurements"][0]["effects"] = [mat_to_json(e) for e in effects[0]]
+    data["q"] = float(np.trace(_operator(4, effects, pm.terms)).real) / 4
+    return effects, data
 
 
 @pytest.fixture(scope="session")

@@ -241,6 +241,21 @@ def test_map_report_chsh_one_to_one(chsh):
     assert rep.bound_preserved and rep.tightness_preserved
 
 
+def test_map_report_checks_a_given_partition_of_a_bell_scenario(chsh):
+    # CHSH's own parties drive both directions of its map; a given
+    # partition is still checked, and a valid one changes nothing
+    scenario, ineq = chsh
+    for witness in (ineq, dataclasses.replace(ineq, kind="NCHV")):
+        with pytest.raises(InvalidPartition):
+            map_report(scenario, witness, Partition(((0, 9), (1, 2, 3))))
+        with pytest.raises(InvalidPartition):
+            map_report(scenario, witness, Partition(((0, 2), (1, 3))))
+        with pytest.raises(UndersizedPart):
+            map_report(scenario, witness, Partition(((0, 1), (2,), (3,))))
+        given = map_report(scenario, witness, Partition(((0, 1), (2, 3))))
+        assert given.to_json() == map_report(scenario, witness).to_json()
+
+
 def test_map_report_triangle_generic_lift():
     s = build_scenario(["a", "b", "c"], [2] * 3, [(0, 1), (1, 2), (0, 2)])
     ineq = correlator_inequality(s, [((0, 1), 1)], 1, "NCHV")
@@ -503,9 +518,10 @@ def test_each_bridge_fact_is_computed_once(monkeypatch, pearle, chsh, pm):
     assert work(lambda: map_report(pearle.scenario, pearle.gamma)) == {"elim": 1}
     # the witness's bound; the Bell target reuses it, so no map runs
     assert work(pearle_hexagon) == {"elim": 1}
-    # the lift and each removal's lift; no reduced witness bound
-    assert work(lambda: sic_to_bell(dataclasses.replace(pm, embedded=(0,)))) \
-        == {"elim": 2}
+    # the lift and each removal's lift; no reduced witness bound (the set's
+    # own bound is derived once, when it is built)
+    pm_0 = dataclasses.replace(pm, embedded=(0,))
+    assert work(lambda: sic_to_bell(pm_0)) == {"elim": 2}
     assert work(lambda: sic_to_bell(pm)) == {"elim": 10}
     assert work(lambda: criticality_check(pm)) == {"elim": 9}
     # one seesaw per map: the target run would repeat the source run
@@ -523,37 +539,41 @@ def test_criticality_and_pearle_rebuild_nothing(monkeypatch, pm):
         (ksatlas.quantum, "random_state", "state"),
         (ksatlas.bridge, "_face_verdict", "face"),
     ])
-    # the full set's operator (witness_operator, inside verify_sic) and
-    # sampled states, then per removal one operator and one bound on the
-    # same scenario
+    # the full set's operator is read off the set (verify_sic computes
+    # none); sampled states, then per removal one operator and one bound on
+    # the same scenario
     assert work(lambda: criticality_check(pm)) \
-        == {"elim": 9, "operator": 10, "state": 50}
+        == {"elim": 9, "operator": 9, "state": 50}
     # the closure scenario and the target are read off, no verdict is made
     assert work(pearle_hexagon) == {"elim": 1}
 
 
 def count_term_checks(monkeypatch):
-    """count_calls on scenario.check_inequality at every ksatlas.* module
-    binding of it, so readers that imported the name count too."""
-    check = ksatlas.scenario.check_inequality
-    targets = [(module, attr, "check")
+    """count_calls on scenario.check_inequality and quantum.validate_model
+    at every ksatlas.* module binding of them, so readers that imported
+    the names count too."""
+    counted = [(ksatlas.scenario.check_inequality, "check"),
+               (ksatlas.quantum.validate_model, "validate")]
+    targets = [(module, attr, label)
                for name, module in list(sys.modules.items()) if name.startswith("ksatlas")
-               for attr, value in list(vars(module).items()) if value is check]
+               for attr, value in list(vars(module).items())
+               for f, label in counted if value is f]
     return count_calls(monkeypatch, targets)
 
 
 def test_each_question_checks_its_terms_once(monkeypatch, tmp_path, capsys, pm):
     for which in ("chsh", "pearle", "pm-square"):
         assert ksatlas.cli.main(["examples", which, "--out", str(tmp_path)]) == 0
+    pm_0 = dataclasses.replace(pm, embedded=(0,))
     work = count_term_checks(monkeypatch)
-    # verify_sic's pass, then one read of the canonical terms that every
-    # removal filters
-    assert work(lambda: criticality_check(pm)) == {"check": 2}
-    assert work(lambda: sic_to_bell(pm)) == {"check": 2}
-    assert work(lambda: sic_to_bell(dataclasses.replace(pm, embedded=(0,)))) == {"check": 2}
+    # a built set is checked already: its canonical terms, which every
+    # removal filters, are read off it, and its model is not validated again
+    assert work(lambda: criticality_check(pm)) == {}
+    assert work(lambda: sic_to_bell(pm)) == {}
+    assert work(lambda: sic_to_bell(pm_0)) == {}
     # the CLI leaves the check to the library call; a map with the seesaw
-    # checks once for the bound and once for the expansion, and sic
-    # critical once more for the stored mu
+    # checks once for the bound and once for the expansion, and sic verify
+    # and critical check once, when the stored set is built
     chsh = [str(tmp_path / f) for f in ("chsh.scenario.json", "chsh.inequality.json")]
     pearle = [str(tmp_path / f) for f in ("pearle.scenario.json", "pearle.gamma.json")]
     pm_files = [str(tmp_path / f) for f in ("pm_square.scenario.json", "pm_square.witness.json")]
@@ -565,10 +585,13 @@ def test_each_question_checks_its_terms_once(monkeypatch, tmp_path, capsys, pm):
         (["map", *pearle, "--partition", str(tmp_path / "pearle.partition.json")], 1),
         (["map", *pm_files], 1),
         (["map", *chsh, "--quantum", "--restarts", "2"], 2),
-        (["sic", "critical", str(tmp_path / "pm_square.sicset.json")], 3),
+        (["sic", "verify", str(tmp_path / "pm_square.sicset.json")], 1),
+        (["sic", "critical", str(tmp_path / "pm_square.sicset.json")], 1),
     ]
     for argv, passes in cases:
         codes = []
-        assert work(lambda: codes.append(ksatlas.cli.main(argv))) == {"check": passes}, argv
+        validations = {"validate": 1} if argv[0] == "sic" else {}
+        assert work(lambda: codes.append(ksatlas.cli.main(argv))) \
+            == {"check": passes, **validations}, argv
         assert codes == [0], argv
     capsys.readouterr()

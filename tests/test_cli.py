@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import rotated_a11
 from ksatlas.cli import main
 
 
@@ -99,6 +100,33 @@ def test_sic_verify_rejects_a_wrong_mu(workdir, capsys):
     (workdir / "pm_mu3.sicset.json").write_text(json.dumps({**data, "mu": "3"}))
     code, doc = run(capsys, "sic", "verify", "pm_mu3.sicset.json")
     assert code == 2 and doc is None
+
+
+def test_sic_verify_rejects_noncommuting_compatible_effects(workdir, capsys, pm):
+    # A11 turned by 0.05 rad no longer commutes with its compatible A13;
+    # the stored mu and q are those of the turned set
+    (workdir / "rotated.sicset.json").write_text(json.dumps(rotated_a11(pm)[1]))
+    assert main(["sic", "verify", "rotated.sicset.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "do not commute" in err
+
+
+@pytest.mark.parametrize("parts,code", [
+    ([[0, 9], [1, 2, 3]], 2),
+    ([[0, 2], [1, 3]], 2),
+    ([[0, 1], [2], [3]], 2),
+    ([[0, 1], [2, 3]], 0),
+], ids=["out-of-range", "not-independent", "undersized", "valid"])
+def test_map_checks_a_partition_of_a_bell_scenario(workdir, capsys, parts, code):
+    # CHSH's own parties drive its map, and a given partition is still
+    # checked; a valid one leaves the report as it is without one
+    (workdir / "parts.json").write_text(json.dumps({"parts": parts}))
+    got, doc = run(capsys, "map", "chsh.scenario.json", "chsh.inequality.json",
+                   "--partition", "parts.json")
+    assert got == code
+    if code == 0:
+        assert doc == run(capsys, "map", "chsh.scenario.json", "chsh.inequality.json")[1]
+
 
 def test_dilate(workdir, capsys, tmp_path):
     from ksatlas.quantum import mat_to_json
@@ -220,7 +248,12 @@ def test_malformed_input_file_exits_2_without_traceback(workdir, capsys, argv, c
 @pytest.mark.parametrize("argv,content", [
     (["graph", "alpha"], {"n": 3, "edges": [[0, 7]]}),
     (["dilate"], {"effects": []}),
-], ids=["edge-out-of-range", "no-effects"])
+    (["graph", "alpha"], {"n": -1, "edges": []}),
+    (["graph", "theta"], {"n": -1, "edges": []}),
+    (["graph", "ratio"], {"n": -1, "edges": []}),
+    (["graph", "ratio"], {"n": 0, "edges": []}),
+], ids=["edge-out-of-range", "no-effects", "alpha-negative-n", "theta-negative-n",
+        "ratio-negative-n", "ratio-no-vertex"])
 def test_invalid_input_file_exits_2(capsys, tmp_path, argv, content):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))

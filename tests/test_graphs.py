@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksatlas.errors import ConvergenceFailure, InvalidTolerance, SizeLimitExceeded
+from ksatlas.errors import ConvergenceFailure, InvalidTolerance, SizeLimitExceeded, TooSmall
 from ksatlas.graphs import (
     Graph,
     _greedy_clique_cover,
@@ -538,3 +538,15 @@ def test_event_form_gives_one_event_per_term_order(chsh):
     assert g == exclusivity_graph(ineq, scenario) and g.n == 8
     lo, hi = lovasz_theta(g)
     assert lo - 1e-6 <= 2 + math.sqrt(2) <= hi + 1e-6
+
+
+def test_graph_sizes_without_an_answer_are_refused():
+    # no graph has -1 vertices, and theta / alpha is 0 / 0 without a vertex
+    with pytest.raises(TooSmall):
+        Graph(-1)
+    with pytest.raises(TooSmall):
+        Graph.from_json({"n": -1, "edges": []})
+    empty = Graph(0)
+    assert independence_number(empty) == 0 and lovasz_theta(empty) == (0.0, 0.0)
+    with pytest.raises(TooSmall):
+        contextuality_ratio(empty)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import rotated_a11
 from ksatlas.bridge import chsh_example, n_cycle, n_cycle_quantum_model, pm_square
 from ksatlas.errors import (
     ConvergenceFailure,
@@ -26,6 +27,7 @@ from ksatlas.quantum import (
     _class_operator,
     _colour_classes,
     _objective,
+    _operator,
     _random_observables,
     _split_terms,
     _sym_product,
@@ -482,8 +484,7 @@ def pm_with_duplicate(pm):
     ]
     bigger = build_scenario(ids, [2] * 10, edges)
     witness = pm.witness  # same six contexts, still sub-cliques
-    return SICSet(4, bigger, tuple(pm.effects) + (pm.effects[0],), witness,
-                  pm.mu, pm.q)
+    return SICSet(4, bigger, tuple(pm.effects) + (pm.effects[0],), witness)
 
 
 def test_pm_with_redundant_duplicate_is_not_critical(pm):
@@ -513,13 +514,12 @@ def criticality_cases(pm):
     yield "pm + duplicate", pm_with_duplicate(pm)
     doubled = Inequality(tuple((m, a, 2 * c) for m, a, c in pm.witness.terms),
                          2 * pm.mu, pm.witness.kind)
-    yield "2 pm", replace(pm, witness=doubled, mu=2 * pm.mu, q=2 * pm.q)
+    yield "2 pm", replace(pm, witness=doubled)
     terms = pm.witness.terms + correlator_inequality(
         pm.scenario, [((0,), Fraction(1, 2))], 0).terms
     probe = Inequality(terms, 0, pm.witness.kind)
     witness = replace(probe, bound=classical_bound(probe, pm.scenario))
-    sic = replace(pm, witness=witness, mu=witness.bound)
-    yield "pm + A11/2", replace(sic, q=float(np.trace(witness_operator(sic)).real) / 4)
+    yield "pm + A11/2", replace(pm, witness=witness)
 
 
 def test_criticality_matches_rebuilt_removals(pm):
@@ -560,17 +560,29 @@ def test_dropping_a_measurement_keeps_the_induced_bound(data):
     probe = correlator_inequality(s, correlators, 0)
     m = data.draw(st.integers(0, n - 1))
     eye = np.eye(3, dtype=complex)
-    sic = SICSet(3, s, ((eye, 0 * eye),) * n, probe, Fraction(0), 0.0)
+    sic = SICSet(3, s, ((eye, 0 * eye),) * n, probe)
     witness = replace(probe, terms=tuple(t for t in probe.terms if m not in t[0]))
     assume(witness.terms)
     full = classical_bound(witness, s)
     assert full == remove_measurement(sic, m).mu == brute_force_bound(s, witness)
 def test_stored_q_must_match_the_witness_trace(pm):
-    # q arrives unchecked from JSON; Tr(W)/d of the PM witness is 6
-    wrong = SICSet.from_json({**pm.to_json(), "q": 5})
+    # a stored q is compared with the derived Tr(W)/d, 6 for the PM witness
     with pytest.raises(InvalidSet):
-        verify_sic(wrong)
+        SICSet.from_json({**pm.to_json(), "q": 5})
     assert verify_sic(SICSet.from_json(pm.to_json())).is_sic
+
+
+def test_noncommuting_compatible_effects_are_refused_when_built(pm):
+    # the rotated A11 no longer commutes with A13 = Z (x) Z; its W still
+    # has minimum above mu = 4, so only the model check can refuse it
+    effects, data = rotated_a11(pm)
+    assert np.linalg.eigvalsh(_operator(4, effects, pm.terms))[0] > 4
+    with pytest.raises(NonCommutingContext):
+        SICSet(4, pm.scenario, effects, pm.witness)
+    with pytest.raises(NonCommutingContext):
+        replace(pm, effects=effects)
+    with pytest.raises(NonCommutingContext):
+        SICSet.from_json(data)
 
 
 
@@ -603,10 +615,8 @@ def test_commuting_triple_is_not_sic():
     mats = [z1, z2, z3]
     s = build_scenario(["a", "b", "c"], [2] * 3, [(0, 1), (0, 2), (1, 2)])
     probe = correlator_inequality(s, [((0, 1, 2), 1)], 0)
-    mu = classical_bound(probe, s)
-    witness = correlator_inequality(s, [((0, 1, 2), 1)], mu)
-    sic = SICSet(4, s, tuple(observable_effects(m) for m in mats), witness,
-                 mu, 1.0)
+    witness = correlator_inequality(s, [((0, 1, 2), 1)], classical_bound(probe, s))
+    sic = SICSet(4, s, tuple(observable_effects(m) for m in mats), witness)
     assert not verify_sic(sic).is_sic
     with pytest.raises(InvalidSet):
         criticality_check(sic)

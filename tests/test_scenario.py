@@ -19,6 +19,7 @@ from ksatlas.errors import (
 from ksatlas.scenario import (
     Behavior,
     Inequality,
+    Scenario,
     build_scenario,
     correlator_decomposition,
     correlator_inequality,
@@ -55,6 +56,19 @@ def test_build_scenario_rejects_bad_input():
         build_scenario(["a"], [1], [])
     with pytest.raises(DuplicateMeasurement):
         build_scenario(["a", "a"], [2, 2], [])
+
+
+@pytest.mark.parametrize("labels", [(1, "1"), ("-1", -1, 0), (1, 1.0)])
+def test_outcome_labels_that_coincide_as_strings_are_refused(labels):
+    # behavior keys and JSON files write labels as strings, so 1 and "1"
+    # would read back as one outcome: a term on "1" would become a term
+    # on 1, and a table would keep half its entries
+    with pytest.raises(TooFewOutcomes):
+        build_scenario(["a", "b"], [labels, 2], [(0, 1)])
+    with pytest.raises(TooFewOutcomes):
+        Scenario.from_json({"measurements": [{"id": "a", "outcomes": list(labels)}],
+                            "compat": []})
+    assert build_scenario(["a"], [(1, "-1")], []).outcomes == ((1, "-1"),)
 
 
 def test_hexagon_contexts(hexagon):
