@@ -338,7 +338,8 @@ def pm_square():
     Nine dichotomic observables whose commutation graph has the six
     row/column contexts; the witness adds the six context correlators
     with the sign of the corresponding operator product, so its operator
-    form is 6 times the identity while the classical bound is 4.
+    form is 6 times the identity while the classical bound is 4, which
+    the set derives once (the witness is built at bound 0).
     """
     eye = np.eye(2, dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -363,8 +364,7 @@ def pm_square():
             prod = prod @ mats[m]
         sign = 1 if prod[0, 0].real > 0 else -1
         correlators.append((ctx, sign))
-    probe = correlator_inequality(scenario, correlators, 0, "NCHV", "pm-witness")
-    witness = replace(probe, bound=classical_bound(probe, scenario))
+    witness = correlator_inequality(scenario, correlators, 0, "NCHV", "pm-witness")
     return SICSet(4, scenario, tuple(observable_effects(m) for m in mats), witness)
 
 

@@ -3,7 +3,8 @@
 The same Graph type plays two roles: compatibility graphs of measurement
 scenarios (cliques = contexts, multipartite structure = party structure)
 and exclusivity graphs of witnesses (independence number bounds the
-classical value, the Lovasz number the quantum one).
+classical value, the Lovasz number the quantum one). A graph has one
+adjacency form, `Graph.adjacency_masks`, built once; every algorithm reads it.
 
 The independence number is exact (branch and bound). The Lovasz number
 is first bracketed by Lovasz's sandwich theorem, alpha <= theta <= clique
@@ -48,20 +49,11 @@ __all__ = [
 DEFAULT_SIZE_LIMIT = 64
 
 
-def _canon_edges(n, edges):
-    out = set()
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidEdge(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise InvalidEdge(f"self-loop at vertex {i}")
-        out.add((min(i, j), max(i, j)))
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1, its edges checked once,
+    when built (InvalidEdge); its one adjacency form, `adjacency_masks`, is
+    built once, on first use."""
 
     n: int
     edges: tuple = ()
@@ -69,15 +61,23 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise TooSmall(f"a graph needs n >= 0 vertices, got {self.n}")
-        object.__setattr__(self, "edges", _canon_edges(self.n, self.edges))
+        edges = set()
+        for i, j in self.edges:
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise InvalidEdge(f"edge ({i},{j}) out of range for n={self.n}")
+            if i == j:
+                raise InvalidEdge(f"self-loop at vertex {i}")
+            edges.add((min(i, j), max(i, j)))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
+    @cached_property
     def adjacency_masks(self):
-        """Neighborhoods as python-int bitsets."""
+        """Neighborhoods as python-int bitsets, one per vertex."""
         masks = [0] * self.n
         for i, j in self.edges:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        return masks
+        return tuple(masks)
 
     @cached_property
     def _edge_set(self):
@@ -85,13 +85,6 @@ class Graph:
 
     def has_edge(self, i, j):
         return (min(i, j), max(i, j)) in self._edge_set
-
-    def degree_sequence(self):
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
     def complement(self):
         comp = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
@@ -191,7 +184,7 @@ def maximal_cliques(graph):
     yield singleton cliques.
     """
     n = graph.n
-    adj = graph.adjacency_masks()
+    adj = graph.adjacency_masks
     out = []
 
     def expand(r, p, x):
@@ -218,32 +211,28 @@ def enumerate_n_partitions(graph, n):
     Proper colorings are enumerated with canonical color introduction
     (vertex 0 gets color 0, a new color only when all earlier ones have
     appeared), so each partition is produced once, in lexicographic order
-    of the color vector.
+    of the color vector. Each color class is a bitset; a vertex may take
+    a color when no neighbour is in its class.
     """
     nv = graph.n
     if not (1 <= n <= nv):
         return
-    adj = graph.adjacency_masks()
-    colors = [-1] * nv
+    adj = graph.adjacency_masks
+    classes = [0] * n
 
     def backtrack(v, used):
         if v == nv:
             if used == n:
-                parts = [[] for _ in range(n)]
-                for u, c in enumerate(colors):
-                    parts[c].append(u)
-                yield Partition(tuple(tuple(p) for p in parts))
+                yield Partition(tuple(tuple(_bits(m)) for m in classes))
             return
         # cannot introduce enough new colors with the vertices left
         if used + (nv - v) < n:
             return
-        limit = min(used + 1, n)
-        for c in range(limit):
-            ok = all(not (adj[v] >> u) & 1 or colors[u] != c for u in range(v))
-            if ok:
-                colors[v] = c
+        for c in range(min(used + 1, n)):
+            if not classes[c] & adj[v]:
+                classes[c] |= 1 << v
                 yield from backtrack(v + 1, max(used, c + 1))
-                colors[v] = -1
+                classes[c] ^= 1 << v
 
     yield from backtrack(0, 0)
 
@@ -265,7 +254,7 @@ def is_complete_n_partite(graph):
     n = graph.n
     if n == 0:
         return None
-    adj = graph.adjacency_masks()
+    adj = graph.adjacency_masks
     full = (1 << n) - 1
     non_adj = [(~adj[v]) & full for v in range(n)]  # includes v itself
     seen = 0
@@ -289,22 +278,20 @@ def independence_number(graph, size_limit=DEFAULT_SIZE_LIMIT):
 
     Branch and bound in the Tomita style: candidates are greedily colored
     (a clique cover of G restricted to the candidates) and the color count
-    prunes the search. Vertices are ordered by descending degree for
-    determinism and pruning strength.
+    prunes the search. The complement's bitsets are read off the graph's
+    one adjacency form (no complement Graph is built), vertices ordered by
+    descending complement degree for determinism and pruning strength.
     """
-    if graph.n > size_limit:
-        raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
-    if graph.n == 0:
+    n = graph.n
+    if n > size_limit:
+        raise SizeLimitExceeded(f"graph has {n} > {size_limit} vertices")
+    if n == 0:
         return 0
-    comp = graph.complement()
-    deg = comp.degree_sequence()
-    order = sorted(range(comp.n), key=lambda v: (-deg[v], v))
+    full = (1 << n) - 1
+    non_adj = [full ^ m ^ (1 << v) for v, m in enumerate(graph.adjacency_masks)]
+    order = sorted(range(n), key=lambda v: (-non_adj[v].bit_count(), v))
     relabel = {v: k for k, v in enumerate(order)}
-    adj = [0] * comp.n
-    for i, j in comp.edges:
-        a, b = relabel[i], relabel[j]
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = [sum(1 << relabel[u] for u in _bits(non_adj[v])) for v in order]
 
     best = 0
 
@@ -338,7 +325,7 @@ def independence_number(graph, size_limit=DEFAULT_SIZE_LIMIT):
                 expand(size + 1, nxt)
             cand_mask &= ~(1 << v)
 
-    expand(0, (1 << comp.n) - 1)
+    expand(0, full)
     return best
 
 
@@ -396,7 +383,7 @@ def _strip_universal_and_isolated(graph):
     union is the sum). Both make the SDP degenerate, and the interior-point
     solve can stall before the interval closes to 1e-8.
     """
-    adj = graph.adjacency_masks()
+    adj = graph.adjacency_masks
     alive = (1 << graph.n) - 1
     k = 0
     changed = True
@@ -462,7 +449,7 @@ def _sandwich(graph, tol, size_limit):
         raise SizeLimitExceeded(f"graph has {graph.n} > {size_limit} vertices")
     if not tol > 0:  # NaN fails too
         raise InvalidTolerance("tol must be positive")
-    adj = graph.adjacency_masks()
+    adj = graph.adjacency_masks
     k = len(_greedy_independent_set(adj))
     return k, k == len(_greedy_clique_cover(adj))
 
@@ -612,7 +599,7 @@ def _sdp_theta(graph, tol):
         why = f"linear algebra failed: {exc}"
     # an independent set is an exact lower end; where the solve stalls on a
     # degenerate optimal face, theta often equals alpha and this closes it
-    lo = max(lo, float(len(_greedy_independent_set(graph.adjacency_masks()))))
+    lo = max(lo, float(len(_greedy_independent_set(graph.adjacency_masks))))
     if hi - lo <= gap:
         return shifted(lo, hi)
     raise ConvergenceFailure(f"theta interval {shifted(lo, hi)} wider than tol={tol}: {why}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,7 +27,7 @@ from .errors import (
     RankDeficiencyAmbiguous,
     SizeLimitExceeded,
 )
-from .polytope import DEFAULT_BUDGET, MEMORY_BUDGET, _int_terms, _scaled_maximum, classical_bound
+from .polytope import DEFAULT_BUDGET, MEMORY_BUDGET, _int_terms, _scaled_maximum
 from .scenario import (
     Behavior,
     Inequality,
@@ -508,7 +508,9 @@ class SICSet:
     the effects (validate_model: one list per measurement, POVMs, commuting
     when compatible) and the witness's terms (check_inequality). Every SIC
     question reads what is derived then: the witness's canonical terms,
-    classical (NCHV) bound mu, operator W and q = Tr(W)/d."""
+    classical (NCHV) bound mu, operator W and q = Tr(W)/d. The witness is
+    stored at bound mu (the bound it came with is not kept). Sets are equal
+    when their fields are, the effect matrices entry for entry."""
 
     dim: int
     scenario: Scenario
@@ -534,6 +536,15 @@ class SICSet:
         object.__setattr__(self, "q", float(np.trace(self.operator).real) / self.dim)
         object.__setattr__(self, "mu", _scaled_maximum(
             self.scenario.radices, *_int_terms(terms), DEFAULT_BUDGET))
+        object.__setattr__(self, "witness", replace(self.witness, bound=self.mu))
+
+    def __eq__(self, other):
+        if not isinstance(other, SICSet):
+            return NotImplemented
+        return ((self.dim, self.scenario, self.witness, self.embedded)
+                == (other.dim, other.scenario, other.witness, other.embedded)
+                and all(np.array_equal(a, b) for ea, eb in zip(self.effects, other.effects)
+                        for a, b in zip(ea, eb)))
 
     def to_json(self):
         return {
@@ -554,8 +565,8 @@ class SICSet:
     @classmethod
     def from_json(cls, data):
         """The set stored by to_json, built (and so checked) from its
-        dimension, scenario, effects and witness; a stored mu or q other
-        than the derived one raises InvalidSet."""
+        dimension, scenario, effects and witness; a stored mu, witness
+        bound or q other than the derived one raises InvalidSet."""
         scenario = Scenario.from_json(data["scenario"])
         effects = tuple(
             tuple(mat_from_json(e) for e in m["effects"])
@@ -564,9 +575,10 @@ class SICSet:
         witness = Inequality.from_json(scenario, data["witness"])
         sic = cls(int(data["d"]), scenario, effects, witness)
         mu, q = frac(data["mu"]), float(data["q"])
-        if mu != sic.mu:
-            raise InvalidSet(f"stored mu {frac_str(mu)} is not the witness's "
-                             f"classical bound {frac_str(sic.mu)}")
+        for name, value in (("mu", mu), ("witness bound", witness.bound)):
+            if value != sic.mu:
+                raise InvalidSet(f"stored {name} {frac_str(value)} is not the witness's "
+                                 f"classical bound {frac_str(sic.mu)}")
         if abs(q - sic.q) > 1e-9:
             raise InvalidSet(f"stored q {q} differs from Tr(W)/d = {sic.q}")
         return sic
@@ -639,9 +651,9 @@ def verify_sic(sic_set, sample_states=100, seed=0):
 def remove_measurement(sic_set, index):
     """The witness set with one measurement deleted: the witness terms that
     involve it are dropped (the removal rule of criticality_check), and the
-    set is restricted to the induced scenario, where the witness's
-    classical bound is recomputed exactly; it equals the bound on the full
-    scenario."""
+    set is restricted to the induced scenario, where the new set derives
+    the witness's classical bound mu exactly, once, and stores the witness
+    at it; it equals the bound on the full scenario."""
     s, witness = sic_set.scenario, sic_set.witness
     keep = [m for m in range(len(s.measurements)) if m != index]
     remap = {m: k for k, m in enumerate(keep)}
@@ -650,8 +662,7 @@ def remove_measurement(sic_set, index):
                              [s.outcomes[m] for m in keep], edges)
     terms = tuple((tuple(remap[m] for m in members), asg, coef)
                   for members, asg, coef in witness.terms if index not in members)
-    witness = Inequality(terms, classical_bound(Inequality(terms, 0), reduced), witness.kind,
-                         witness.label + f"-minus-{s.measurements[index]}")
+    witness = Inequality(terms, 0, witness.kind, witness.label + f"-minus-{s.measurements[index]}")
     return SICSet(sic_set.dim, reduced, tuple(sic_set.effects[m] for m in keep), witness)
 
 

@@ -132,10 +132,13 @@ def build_scenario(measurements, outcomes, compat_edges):
     `outcomes` may be a per-measurement list of outcome labels or a list
     of outcome counts (count k yields labels 0..k-1; count 2 yields the
     dichotomic labels +1/-1). Labels must differ, also as strings (TooFewOutcomes).
+    No id (DuplicateMeasurement) or label may contain ',', which joins them
+    in behavior keys. `Graph` checks the edges; a pair given twice is refused
+    here (InvalidEdge).
     """
     ids = tuple(measurements)
-    if len(set(ids)) != len(ids):
-        raise DuplicateMeasurement("measurement identifiers must be unique")
+    if len(set(ids)) != len(ids) or any("," in str(m) for m in ids):
+        raise DuplicateMeasurement("measurement identifiers must be unique, without ','")
     out_sets = []
     for spec in outcomes:
         if isinstance(spec, int):
@@ -144,22 +147,17 @@ def build_scenario(measurements, outcomes, compat_edges):
             labels = tuple(spec)
         if len(labels) < 2:
             raise TooFewOutcomes(f"measurement needs >= 2 outcomes, got {labels}")
-        if len(set(labels)) != len(labels) or len(set(map(str, labels))) != len(labels):
-            raise TooFewOutcomes(f"duplicate outcome labels {labels}")
+        strs = set(map(str, labels))
+        if len(set(labels)) != len(labels) or len(strs) != len(labels) or "," in "".join(strs):
+            raise TooFewOutcomes(f"duplicate outcome labels, or one with ',': {labels}")
         out_sets.append(labels)
     if len(out_sets) != len(ids):
         raise TooFewOutcomes("one outcome set per measurement required")
-    seen = set()
-    for i, j in compat_edges:
-        if not (0 <= i < len(ids)) or not (0 <= j < len(ids)):
-            raise InvalidEdge(f"edge ({i},{j}) out of range")
-        if i == j:
-            raise InvalidEdge(f"self-loop at {i}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise InvalidEdge(f"duplicate edge {key}")
-        seen.add(key)
-    return Scenario(ids, tuple(out_sets), Graph(len(ids), tuple(seen)))
+    edges = tuple(compat_edges)
+    compat = Graph(len(ids), edges)
+    if len(compat.edges) < len(edges):
+        raise InvalidEdge("duplicate compatibility edge")
+    return Scenario(ids, tuple(out_sets), compat)
 
 
 def outcome_grid(scenario, members):

@@ -548,17 +548,30 @@ def test_criticality_and_pearle_rebuild_nothing(monkeypatch, pm):
     assert work(pearle_hexagon) == {"elim": 1}
 
 
-def count_term_checks(monkeypatch):
+def count_term_checks(monkeypatch, extra=()):
     """count_calls on scenario.check_inequality and quantum.validate_model
     at every ksatlas.* module binding of them, so readers that imported
-    the names count too."""
+    the names count too, and on the extra targets."""
     counted = [(ksatlas.scenario.check_inequality, "check"),
                (ksatlas.quantum.validate_model, "validate")]
     targets = [(module, attr, label)
                for name, module in list(sys.modules.items()) if name.startswith("ksatlas")
                for attr, value in list(vars(module).items())
                for f, label in counted if value is f]
-    return count_calls(monkeypatch, targets)
+    return count_calls(monkeypatch, targets + list(extra))
+
+
+def test_a_sic_set_bounds_its_witness_once(monkeypatch, pm):
+    # the witness comes at bound 0 and the set derives mu once, stores the
+    # witness at it, and builds the same set as before
+    work = count_term_checks(monkeypatch, [(ksatlas.polytope, "best_assignment", "elim")])
+    built = []
+    assert work(lambda: built.append(pm_square())) \
+        == {"elim": 1, "check": 2, "validate": 1}
+    assert work(lambda: built.append(remove_measurement(pm, 0))) \
+        == {"elim": 1, "check": 1, "validate": 1}
+    assert built[0] == pm and built[0].witness.bound == pm.mu == 4
+    assert built[1].witness.bound == built[1].mu == 4
 
 
 def test_each_question_checks_its_terms_once(monkeypatch, tmp_path, capsys, pm):

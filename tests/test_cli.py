@@ -111,6 +111,27 @@ def test_sic_verify_rejects_noncommuting_compatible_effects(workdir, capsys, pm)
     assert out == "" and "do not commute" in err
 
 
+def test_sic_verify_rejects_a_witness_bound_other_than_mu(workdir, capsys):
+    data = json.loads((workdir / "pm_square.sicset.json").read_text())
+    data["witness"]["bound"] = "7"
+    (workdir / "bound7.sicset.json").write_text(json.dumps(data))
+    assert main(["sic", "verify", "bound7.sicset.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "witness bound 7" in err
+
+
+def test_a_measurement_id_with_a_comma_exits_2(workdir, capsys):
+    # A1 renamed "A,1" in the scenario and in the inequality: the scenario's
+    # behaviors could not be read back, so it is refused when built
+    for name in ("chsh.scenario.json", "chsh.inequality.json"):
+        text = (workdir / name).read_text()
+        assert '"A1"' in text
+        (workdir / f"comma.{name}").write_text(text.replace('"A1"', '"A,1"'))
+    assert main(["bound", "comma.chsh.scenario.json", "comma.chsh.inequality.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "','" in err
+
+
 @pytest.mark.parametrize("parts,code", [
     ([[0, 9], [1, 2, 3]], 2),
     ([[0, 2], [1, 3]], 2),

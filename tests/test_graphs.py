@@ -113,6 +113,22 @@ def test_enumerate_partitions_is_deterministic():
     assert got[0].parts == ((0, 2), (1, 3))
 
 
+def test_enumerate_partitions_matches_brute_force_on_all_small_graphs():
+    # every partition into k independent parts exactly once, in the
+    # lexicographic order of its canonical colour vector (colours first
+    # used in the order 0, 1, ..., k-1), on every graph with n <= 5
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for k in range(1, n + 2):
+            canonical = [c for c in itertools.product(range(k), repeat=n)
+                         if list(dict.fromkeys(c)) == list(range(k))]
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
+                want = [tuple(tuple(v for v in range(n) if c[v] == col) for col in range(k))
+                        for c in canonical if all(c[i] != c[j] for i, j in g.edges)]
+                assert [p.parts for p in enumerate_n_partitions(g, k)] == want, (g, k)
+
+
 # -- complete multipartite ------------------------------------------------------
 
 def test_complete_multipartite_detection():
@@ -442,7 +458,7 @@ def brute_clique_cover(g):
 @settings(max_examples=150, deadline=None)
 @given(g=small_graphs(max_n=12))
 def test_sandwich_certificates_are_exact(g):
-    adj = g.adjacency_masks()
+    adj = g.adjacency_masks
     ind = _greedy_independent_set(adj)
     assert len(set(ind)) == len(ind)
     assert not any(g.has_edge(a, b) for a, b in itertools.combinations(ind, 2))
@@ -470,7 +486,7 @@ def test_sandwich_closes_perfect_graphs_at_any_tol():
                                        / (1 + math.cos(math.pi / n))) for n in (5, 7, 9)]
                          + [(kneser(5, 2), 4)], ids=["c5", "c7", "c9", "petersen"])
 def test_sdp_runs_where_the_sandwich_stays_open(g, theta):
-    adj = g.adjacency_masks()
+    adj = g.adjacency_masks
     assert len(_greedy_independent_set(adj)) < len(_greedy_clique_cover(adj))
     lo, hi = lovasz_theta(g, tol=1e-6)
     assert (lo, hi) == _sdp_theta(g, 1e-6)

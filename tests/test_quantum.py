@@ -593,11 +593,35 @@ def test_stored_mu_must_be_the_witness_bound(pm):
     data = pm.to_json()
     with pytest.raises(InvalidSet):
         SICSet.from_json({**data, "mu": "3"})
+    # the witness's own stored bound must be mu as well
+    with pytest.raises(InvalidSet):
+        SICSet.from_json({**data, "witness": {**data["witness"], "bound": "7"}})
     dropped = {**data["witness"], "terms": [
         t for t in data["witness"]["terms"] if t["context"] != ["A13", "A23", "A33"]]}
     with pytest.raises(InvalidSet):
         SICSet.from_json({**data, "witness": dropped, "mu": "4", "q": 5})
+    with pytest.raises(InvalidSet):
+        SICSet.from_json({**data, "witness": dropped, "mu": "5", "q": 5})
+    dropped["bound"] = "5"
     assert SICSet.from_json({**data, "witness": dropped, "mu": "5", "q": 5}).mu == 5
+
+
+def test_the_witness_is_stored_at_mu(pm):
+    # the bound a witness is given with is not kept
+    for bound in (0, 7):
+        sic = SICSet(4, pm.scenario, pm.effects, replace(pm.witness, bound=bound))
+        assert sic.witness.bound == sic.mu == 4 and sic == pm
+    data = pm.to_json()
+    assert data["witness"]["bound"] == data["mu"] == "4"
+
+
+def test_sic_sets_compare_by_their_effect_matrices(pm):
+    assert pm_square() == pm
+    # A11's effects swapped: A11 -> -A11, which still commutes where it did
+    flipped = SICSet(4, pm.scenario, (pm.effects[0][::-1],) + pm.effects[1:], pm.witness)
+    assert flipped != pm and pm != flipped
+    assert replace(pm, embedded=(0,)) != pm
+    assert pm != pm.to_json()
 
 def test_reduced_pm_set_is_state_dependent(pm):
     reduced = remove_measurement(pm, 0)

@@ -46,12 +46,12 @@ def brute_force_maximal_cliques(n, edges):
 
 
 def test_build_scenario_rejects_bad_input():
-    with pytest.raises(InvalidEdge):
-        build_scenario(["a", "b"], [2, 2], [(0, 0)])
-    with pytest.raises(InvalidEdge):
-        build_scenario(["a", "b"], [2, 2], [(0, 1), (1, 0)])
-    with pytest.raises(InvalidEdge):
-        build_scenario(["a", "b"], [2, 2], [(0, 2)])
+    # out of range and self-loops are the Graph's refusals; a pair given
+    # twice, in either order, is build_scenario's
+    for edges in ([(0, 0)], [(0, 1), (1, 0)], [(0, 1), (0, 1)], [(0, 2)], [(-1, 0)]):
+        with pytest.raises(InvalidEdge):
+            build_scenario(["a", "b"], [2, 2], edges)
+    assert build_scenario(["a", "b"], [2, 2], [(1, 0)]).compat.edges == ((0, 1),)
     with pytest.raises(TooFewOutcomes):
         build_scenario(["a"], [1], [])
     with pytest.raises(DuplicateMeasurement):
@@ -69,6 +69,17 @@ def test_outcome_labels_that_coincide_as_strings_are_refused(labels):
         Scenario.from_json({"measurements": [{"id": "a", "outcomes": list(labels)}],
                             "compat": []})
     assert build_scenario(["a"], [(1, "-1")], []).outcomes == ((1, "-1"),)
+
+
+@pytest.mark.parametrize("ids, outcomes, error", [
+    (["A,1", "B"], [2, 2], DuplicateMeasurement),
+    (["A", "B"], [("x,y", "z"), 2], TooFewOutcomes),
+], ids=["id", "label"])
+def test_ids_and_labels_with_a_comma_are_refused(ids, outcomes, error):
+    # behavior JSON joins ids and labels with ',' in its keys, so such a
+    # scenario's own behaviors could not be read back
+    with pytest.raises(error):
+        build_scenario(ids, outcomes, [(0, 1)])
 
 
 def test_hexagon_contexts(hexagon):
